@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "src/ndp/sync_machine.h"
-#include "src/prof/profile.h"
-#include "src/trace/ppo_checker.h"
 
 namespace nearpm {
 namespace repl {
@@ -15,12 +13,6 @@ namespace {
 // Control-message payloads on the fabric (acks, doorbells, sync signals,
 // retires, promotions): a header-only frame.
 constexpr std::size_t kCtrlBytes = 32;
-
-ServeResult Unexecuted(Status status) {
-  ServeResult result;
-  result.status = std::move(status);
-  return result;
-}
 
 }  // namespace
 
@@ -42,19 +34,17 @@ StatusOr<ReplProtocol> ReplProtocolFromName(const std::string& name) {
 }
 
 ReplicatedKvService::ReplicatedKvService(const ReplOptions& options)
-    : options_(options), router_(options.groups, options.replicas) {
-  // Resolve the completion-path metric handles once; the registry's map
-  // nodes are stable, so these stay valid for the service's life.
-  ctr_enqueued_ = &metrics_.Counter("repl_enqueued");
-  ctr_rejected_ = &metrics_.Counter("repl_rejected");
-  ctr_completed_ = &metrics_.Counter("repl_completed");
-  ctr_gets_ = &metrics_.Counter("repl_gets");
-  ctr_puts_ = &metrics_.Counter("repl_puts");
-  ctr_txns_ = &metrics_.Counter("repl_txns");
-  ctr_batches_ = &metrics_.Counter("repl_batches");
-  ctr_commits_ = &metrics_.Counter("repl_commits");
-  request_ns_ = &metrics_.Latency("repl_request_ns");
-  commit_ns_ = &metrics_.Latency("repl_commit_ns");
+    : FrontEnd(options, options.groups, options.replicas, obs::SloSpec{},
+               "repl_", "node"),
+      options_(options),
+      alive_(static_cast<std::size_t>(options.groups * options.replicas),
+             true),
+      fabric_recorder_(std::make_unique<TraceRecorder>()) {
+  net::FabricOptions fo;
+  fo.nodes = options.groups * options.replicas;
+  fo.hw = options.hw;
+  fo.trace = fabric_recorder_.get();
+  fabric_ = std::make_unique<net::Fabric>(fo);
 }
 
 ReplicatedKvService::~ReplicatedKvService() { Stop(); }
@@ -64,238 +54,100 @@ StatusOr<std::unique_ptr<ReplicatedKvService>> ReplicatedKvService::Create(
   if (options.groups < 1 || options.replicas < 1) {
     return InvalidArgument("need at least one group and one replica");
   }
-  if (options.workers_per_shard < 1 || options.batch_max < 1 ||
-      options.queue_capacity < 1) {
-    return InvalidArgument(
-        "workers, batch_max and queue_capacity must be >= 1");
-  }
+  NEARPM_RETURN_IF_ERROR(Validate(options));
   auto service =
       std::unique_ptr<ReplicatedKvService>(new ReplicatedKvService(options));
-
-  serve::ShardOptions so;
-  so.mode = options.mode;
-  so.enforce_ppo = options.enforce_ppo;
-  so.skip_recovery_replay = options.skip_recovery_replay;
-  so.pm_size = options.pm_size;
-  so.table_slots = options.table_slots;
-  so.value_size = options.value_size;
-  so.workers = options.workers_per_shard;
-  so.hw = options.hw;
-  const int nodes = options.groups * options.replicas;
-  for (int n = 0; n < nodes; ++n) {
-    auto shard = Shard::Create(so, n);
-    if (!shard.ok()) {
-      return shard.status();
-    }
-    service->nodes_.push_back(std::move(*shard));
-  }
-  service->alive_.assign(nodes, true);
-
-  service->fabric_recorder_ = std::make_unique<TraceRecorder>();
-  net::FabricOptions fo;
-  fo.nodes = nodes;
-  fo.hw = options.hw;
-  fo.trace = service->fabric_recorder_.get();
-  service->fabric_ = std::make_unique<net::Fabric>(fo);
-
-  // One cluster-wide flight ring: every node's recorder plus the fabric's
-  // feeds it, so the black box covers in-flight messages too.
-  if (options.flight_capacity > 0) {
-    service->flight_ =
-        std::make_unique<obs::FlightRecorder>(options.flight_capacity);
-    for (int n = 0; n < nodes; ++n) {
-      service->nodes_[n]->recorder().AttachSink(
-          service->flight_->RegisterSource("node" + std::to_string(n)));
-    }
-    service->fabric_recorder_->AttachSink(
-        service->flight_->RegisterSource("fabric"));
-  }
-
-  for (int g = 0; g < options.groups; ++g) {
-    service->queues_.push_back(
-        std::make_unique<serve::MpscRing<QueuedRequest>>(
-            options.queue_capacity));
-  }
-  service->pump_rr_.assign(options.groups, 0);
+  NEARPM_RETURN_IF_ERROR(
+      service->CreateNodes(service->fabric_recorder_.get()));
   return service;
 }
 
-StatusOr<std::future<ServeResult>> ReplicatedKvService::Submit(
-    ServeRequest request) {
-  int group;
-  if (request.kind == RequestKind::kMultiPut) {
-    if (request.pairs.empty()) {
-      return InvalidArgument("MultiPut carries no pairs");
-    }
-    std::vector<std::uint64_t> keys;
-    keys.reserve(request.pairs.size());
-    for (const KvPair& pair : request.pairs) {
-      keys.push_back(pair.key);
-    }
-    group = router_.ParticipantsFor(keys).front();  // coordinator group
-  } else {
-    group = router_.ShardFor(request.key);
-  }
-
-  QueuedRequest item;
-  item.request = std::move(request);
-  // The request's identity for the rest of its life, across every replica
-  // and fabric message it touches.
-  item.trace_id = trace_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::future<ServeResult> done = item.done.get_future();
-  if (!queues_[group]->TryPush(item)) {
-    ctr_rejected_->fetch_add(1, std::memory_order_relaxed);
-    return ResourceExhausted("group " + std::to_string(group) +
-                             " queue full (" +
-                             std::to_string(options_.queue_capacity) +
-                             " requests), retry after draining");
-  }
-  ctr_enqueued_->fetch_add(1, std::memory_order_relaxed);
-  return done;
-}
-
-void ReplicatedKvService::Start() {
-  for (int g = 0; g < options_.groups; ++g) {
-    for (int w = 0; w < options_.workers_per_shard; ++w) {
-      workers_.emplace_back([this, g, w] { WorkerLoop(g, w); });
-    }
-  }
-}
-
-void ReplicatedKvService::Stop() {
-  for (auto& queue : queues_) {
-    queue->Close();
-  }
-  for (auto& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
-  }
-  workers_.clear();
-}
-
-void ReplicatedKvService::WorkerLoop(int group, int worker) {
-  serve::MpscRing<QueuedRequest>& queue = *queues_[group];
-  while (true) {
-    auto first = queue.Pop();
-    if (!first.has_value()) {
-      return;
-    }
-    std::vector<QueuedRequest> batch;
-    batch.push_back(std::move(*first));
-    while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-      auto more = queue.TryPop();
-      if (!more.has_value()) {
-        break;
-      }
-      batch.push_back(std::move(*more));
-    }
-    ExecuteBatch(group, worker, std::move(batch));
-  }
-}
-
-std::uint64_t ReplicatedKvService::Pump() {
-  std::uint64_t executed = 0;
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int g = 0; g < options_.groups; ++g) {
-      std::vector<QueuedRequest> batch;
-      while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-        auto item = queues_[g]->TryPop();
-        if (!item.has_value()) {
-          break;
-        }
-        batch.push_back(std::move(*item));
-      }
-      if (batch.empty()) {
-        continue;
-      }
-      progress = true;
-      executed += batch.size();
-      const int worker = pump_rr_[g];
-      pump_rr_[g] = (pump_rr_[g] + 1) % options_.workers_per_shard;
-      ExecuteBatch(g, worker, std::move(batch));
-    }
-  }
-  return executed;
-}
-
 void ReplicatedKvService::ExecuteBatch(int group, int worker,
-                                       std::vector<QueuedRequest> batch) {
-  // Reads serve from the group's routed primary; every mutation goes
-  // through the replicated commit (which takes its own locks).
-  std::vector<QueuedRequest> gets;
-  std::vector<QueuedRequest> writes;
-  for (QueuedRequest& item : batch) {
-    (item.request.kind == RequestKind::kGet ? gets : writes)
-        .push_back(std::move(item));
+                                       std::vector<QueuedRequest>& batch) {
+  serve::WorkerMetrics& wm = worker_metrics(group, worker);
+  obs::SlidingWindow& win = window(group, worker);
+  std::size_t reads = 0;
+  for (const QueuedRequest& item : batch) {
+    reads += item.request.kind == RequestKind::kGet ? 1u : 0u;
   }
 
-  if (!gets.empty()) {
-    const int primary = router_.PrimaryNodeFor(group);
-    if (!alive_[primary]) {
-      for (QueuedRequest& item : gets) {
-        item.done.set_value(Unexecuted(Unavailable(
-            "group " + std::to_string(group) + " primary down")));
-      }
-    } else {
-      Shard& shard = *nodes_[primary];
-      std::lock_guard lock(shard.mu());
-      const ThreadId tid = shard.WorkerTid(worker);
-      Runtime& rt = shard.rt();
-      const SimTime batch_start = rt.Now(tid);
-      rt.Compute(tid, rt.options().hw.cost.cmd_post_ns);
-      for (QueuedRequest& item : gets) {
-        rt.Compute(tid, options_.request_parse_ns);
-        const SimTime start = rt.Now(tid);
-        // Device events the read produces inherit the request's id (the
-        // shard lock serializes recorder access).
-        TraceIdScope trace_scope(&shard.recorder(), item.trace_id);
+  const int primary = router_.PrimaryNodeFor(group);
+  if (reads > 0 && !alive_[primary]) {
+    for (QueuedRequest& item : batch) {
+      if (item.request.kind == RequestKind::kGet) {
         ServeResult result;
-        result.shard = group;
-        result.trace_id = item.trace_id;
-        auto value = shard.Get(tid, item.request.key);
-        if (value.ok()) {
-          result.value = std::move(*value);
-        }
-        result.status = value.status();
-        const SimTime end = rt.Now(tid);
-        NEARPM_TRACE_SPAN(&shard.recorder(),
-                          .phase = TracePhase::kServeRequest,
-                          .pid = kTraceServePid,
-                          .tid = static_cast<std::uint32_t>(tid), .ts = start,
-                          .dur = end > start ? end - start : 1,
-                          .seq = item.request.key);
-        result.latency_ns = end - batch_start;
-        request_ns_->Add(result.latency_ns);
-        ctr_gets_->fetch_add(1, std::memory_order_relaxed);
-        ctr_completed_->fetch_add(1, std::memory_order_relaxed);
+        result.status = Unavailable("group " + std::to_string(group) +
+                                    " primary down");
         item.done.set_value(std::move(result));
       }
-      rt.Fence(tid);
-      ctr_batches_->fetch_add(1, std::memory_order_relaxed);
     }
+  } else if (reads > 0) {
+    Shard& shard = node(primary);
+    std::lock_guard lock(shard.mu());
+    const ThreadId tid = shard.WorkerTid(worker);
+    Runtime& rt = shard.rt();
+    const SimTime batch_start = rt.Now(tid);
+    rt.Compute(tid, rt.options().hw.cost.cmd_post_ns);
+    win.RecordDepth(batch_start, Backlog(group));
+    for (QueuedRequest& item : batch) {
+      if (item.request.kind != RequestKind::kGet) {
+        continue;
+      }
+      rt.Compute(tid, options_.request_parse_ns);
+      const SimTime start = rt.Now(tid);
+      // Device events the read produces inherit the request's id (the
+      // shard lock serializes recorder access).
+      TraceIdScope trace_scope(&shard.recorder(), item.trace_id);
+      ServeResult result;
+      result.shard = group;
+      result.trace_id = item.trace_id;
+      auto value = shard.Get(tid, item.request.key);
+      if (value.ok()) {
+        result.value = std::move(*value);
+      }
+      result.status = value.status();
+      const SimTime end = rt.Now(tid);
+      NEARPM_TRACE_SPAN(&shard.recorder(), .phase = TracePhase::kServeRequest,
+                        .pid = kTraceServePid,
+                        .tid = static_cast<std::uint32_t>(tid), .ts = start,
+                        .dur = end > start ? end - start : 1,
+                        .seq = item.request.key);
+      result.latency_ns = end - batch_start;
+      wm.request_ns.Add(result.latency_ns);
+      wm.gets.fetch_add(1, std::memory_order_relaxed);
+      Complete(item, std::move(result), end, wm, win);
+    }
+    rt.Fence(tid);
+    wm.batches.fetch_add(1, std::memory_order_relaxed);
+    wm.batch_size.Add(reads);
   }
 
-  for (QueuedRequest& item : writes) {
+  if (reads == batch.size()) {
+    return;
+  }
+  // A single put commits as a 1-pair transaction through this buffer, which
+  // takes the payload by move.
+  std::vector<KvPair> single(1);
+  for (QueuedRequest& item : batch) {
+    if (item.request.kind == RequestKind::kGet) {
+      continue;
+    }
     ServeResult result;
     result.shard = group;
     result.trace_id = item.trace_id;
-    std::vector<KvPair> pairs;
+    TxnClock clock;
     if (item.request.kind == RequestKind::kMultiPut) {
-      pairs = item.request.pairs;
+      result.status = ExecuteReplicatedTxn(item.request.pairs, {},
+                                           item.trace_id, &clock);
+      txns_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      KvPair pair;
-      pair.key = item.request.key;
-      pair.value = item.request.value;
-      pairs.push_back(std::move(pair));
+      single[0].key = item.request.key;
+      single[0].value = std::move(item.request.value);
+      result.status = ExecuteReplicatedTxn(single, {}, item.trace_id, &clock);
+      wm.puts.fetch_add(1, std::memory_order_relaxed);
     }
-    result.status = ExecuteReplicatedTxn(pairs, {}, item.trace_id);
-    (item.request.kind == RequestKind::kMultiPut ? ctr_txns_ : ctr_puts_)
-        ->fetch_add(1, std::memory_order_relaxed);
-    ctr_completed_->fetch_add(1, std::memory_order_relaxed);
-    item.done.set_value(std::move(result));
+    result.latency_ns = clock.end - clock.start;
+    Complete(item, std::move(result), clock.end, wm, win);
   }
 }
 
@@ -311,10 +163,13 @@ std::vector<int> ReplicatedKvService::LiveReplicas(int group) const {
 
 Status ReplicatedKvService::ExecuteReplicatedTxn(
     const std::vector<KvPair>& pairs, const ReplStop& stop,
-    std::uint64_t trace_id) {
-  if (pairs.empty() || pairs.size() > Shard::kMaxTxnPairs) {
+    std::uint64_t trace_id, TxnClock* clock) {
+  const auto bad_size = [] {
     return InvalidArgument("replicated txn must carry 1.." +
                            std::to_string(Shard::kMaxTxnPairs) + " pairs");
+  };
+  if (pairs.empty()) {
+    return bad_size();
   }
   std::vector<std::uint64_t> keys;
   keys.reserve(pairs.size());
@@ -329,10 +184,23 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
   std::vector<std::unique_lock<std::mutex>> locks;
   for (int g : participants) {
     for (int r = 0; r < options_.replicas; ++r) {
-      locks.emplace_back(nodes_[router_.NodeFor(g, r)]->mu());
+      locks.emplace_back(node(g, r).mu());
     }
   }
 
+  const int cg = participants.front();
+  const int cp = router_.PrimaryNodeFor(cg);
+  Shard& coord = node(cp);
+  const ThreadId coord_tid = coord.TxnTid();
+  const SimTime txn_start = coord.Now(coord_tid);
+  if (clock != nullptr) {
+    // Set before any check can fail, so even a rejected commit has an
+    // instant for its completion sample.
+    clock->start = clock->end = txn_start;
+  }
+  if (pairs.size() > Shard::kMaxTxnPairs) {
+    return bad_size();
+  }
   for (int g : participants) {
     if (!alive_[router_.PrimaryNodeFor(g)]) {
       return Unavailable("group " + std::to_string(g) +
@@ -340,36 +208,16 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
     }
   }
 
-  // Tag every participant replica's events with the originating request
-  // while their locks are held (set_active_trace is recorder-shared state,
-  // serialized by the node locks). Restores to 0 on every exit path,
-  // including the crash injections and error returns below.
-  struct TxnTraceScopes {
-    std::vector<TraceRecorder*> recorders;
-    ~TxnTraceScopes() {
-      for (TraceRecorder* r : recorders) {
-        r->set_active_trace(0);
-      }
-    }
-  } trace_scopes;
-  if (trace_id != 0) {
-    trace_scopes.recorders.reserve(participants.size() *
-                                   static_cast<std::size_t>(options_.replicas));
-    for (int g : participants) {
-      for (int r = 0; r < options_.replicas; ++r) {
-        TraceRecorder* rec = &nodes_[router_.NodeFor(g, r)]->recorder();
-        rec->set_active_trace(trace_id);
-        trace_scopes.recorders.push_back(rec);
-      }
+  const std::size_t tagged =
+      participants.size() * static_cast<std::size_t>(options_.replicas);
+  serve::TxnTraceScopes trace_scopes(trace_id, tagged);
+  for (int g : participants) {
+    for (int r = 0; r < options_.replicas; ++r) {
+      trace_scopes.Tag(&node(g, r).recorder());
     }
   }
 
-  const int cg = participants.front();
-  const int cp = router_.PrimaryNodeFor(cg);
-  Shard& coord = *nodes_[cp];
-  const ThreadId coord_tid = coord.TxnTid();
   const std::uint64_t txn_id = ++txn_counter_;
-  const SimTime txn_start = coord.Now(coord_tid);
   const bool redo = options_.protocol == ReplProtocol::kOneSidedRedo;
 
   // Phase 1 -- durable intent on the coordinator group's primary. From here
@@ -399,7 +247,7 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
     if (r == router_.PrimaryReplica(cg) || !alive_[bn]) {
       continue;
     }
-    Shard& backup = *nodes_[bn];
+    Shard& backup = node(bn);
     if (!redo) {
       // Primary-backup: ship the framed record; the backup CPU persists it
       // failure-atomically and acks once it is durable.
@@ -479,22 +327,16 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
   for (int ordinal = 0; ordinal < k; ++ordinal) {
     const int g = participants[ordinal];
     const int pg = router_.PrimaryNodeFor(g);
-    std::vector<KvPair> slice;
-    for (const KvPair& pair : pairs) {
-      if (router_.ShardFor(pair.key) == g) {
-        slice.push_back(pair);
-      }
-    }
     if (g != cg && pg != cp) {
       // Hand the slice to the participant group's primary.
       const net::Delivery ship =
           fabric_->Send(cp, pg, record_bytes, coord.Now(coord_tid),
                         net::MsgKind::kIntentShip, txn_id, trace_id);
-      nodes_[pg]->rt().WaitUntil(nodes_[pg]->TxnTid(), ship.delivered);
+      node(pg).rt().WaitUntil(node(pg).TxnTid(), ship.delivered);
     }
     for (int r : LiveReplicas(g)) {
       const int n = router_.NodeFor(g, r);
-      Shard& replica = *nodes_[n];
+      Shard& replica = node(n);
       const ThreadId tid = replica.TxnTid();
       if (g == cg && n != cp && redo) {
         replica.rt().WaitUntil(
@@ -509,13 +351,14 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
                 ? kCtrlBytes
                 : record_bytes;
         const net::Delivery fwd =
-            fabric_->Send(pg, n, fwd_bytes,
-                          nodes_[pg]->Now(nodes_[pg]->TxnTid()),
+            fabric_->Send(pg, n, fwd_bytes, node(pg).Now(node(pg).TxnTid()),
                           net::MsgKind::kIntentShip, txn_id, trace_id);
         replica.rt().WaitUntil(tid, fwd.delivered);
       }
-      for (const KvPair& pair : slice) {
-        NEARPM_RETURN_IF_ERROR(replica.Put(tid, pair.key, pair.value));
+      for (const KvPair& pair : pairs) {
+        if (router_.ShardFor(pair.key) == g) {
+          NEARPM_RETURN_IF_ERROR(replica.Put(tid, pair.key, pair.value));
+        }
       }
     }
     if (stop.phase == ReplStopPhase::kMidApply && stop.ordinal == ordinal) {
@@ -525,7 +368,7 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
                          std::to_string(ordinal));
     }
     for (int r : LiveReplicas(g)) {
-      Shard& replica = *nodes_[router_.NodeFor(g, r)];
+      Shard& replica = node(g, r);
       replica.Drain(replica.TxnTid());
     }
     NEARPM_RETURN_IF_ERROR(machines[ordinal].ReceiveLocalComplete());
@@ -541,7 +384,7 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
   // write ordered after this synchronization).
   for (int ordinal = 0; ordinal < k; ++ordinal) {
     const int src = router_.PrimaryNodeFor(participants[ordinal]);
-    Shard& sender = *nodes_[src];
+    Shard& sender = node(src);
     for (int peer = 0; peer < k; ++peer) {
       if (peer == ordinal) {
         continue;
@@ -550,7 +393,7 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
       const net::Delivery sig =
           fabric_->Send(src, dst, kCtrlBytes, sender.Now(sender.TxnTid()),
                         net::MsgKind::kSyncSignal, txn_id, trace_id);
-      nodes_[dst]->rt().WaitUntil(nodes_[dst]->TxnTid(), sig.delivered);
+      node(dst).rt().WaitUntil(node(dst).TxnTid(), sig.delivered);
       const DeviceId remote_index = ordinal < peer ? ordinal : ordinal - 1;
       NEARPM_RETURN_IF_ERROR(
           machines[peer].ReceiveRemoteComplete(remote_index));
@@ -558,12 +401,12 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
   }
   SimTime rendezvous = 0;
   for (int g : participants) {
-    Shard& primary = *nodes_[router_.PrimaryNodeFor(g)];
+    Shard& primary = node(router_.PrimaryNodeFor(g));
     rendezvous = std::max(rendezvous, primary.Now(primary.TxnTid()));
   }
   rendezvous += coord.rt().options().hw.cost.ndp_remote_status_ns;
   for (int g : participants) {
-    Shard& primary = *nodes_[router_.PrimaryNodeFor(g)];
+    Shard& primary = node(router_.PrimaryNodeFor(g));
     primary.rt().WaitUntil(primary.TxnTid(), rendezvous);
   }
   for (int ordinal = 0; ordinal < k; ++ordinal) {
@@ -583,7 +426,7 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
     if (bn == cp || slots[r] < 0 || !alive_[bn]) {
       continue;
     }
-    Shard& backup = *nodes_[bn];
+    Shard& backup = node(bn);
     const net::Delivery retire =
         fabric_->Send(cp, bn, kCtrlBytes, coord.Now(coord_tid),
                       net::MsgKind::kRetire, txn_id, trace_id);
@@ -602,8 +445,10 @@ Status ReplicatedKvService::ExecuteReplicatedTxn(
                     .dur = txn_end > txn_start ? txn_end - txn_start : 1,
                     .seq = txn_id, .arg0 = static_cast<std::uint64_t>(k),
                     .trace = trace_id);
-  commit_ns_->Add(txn_end - txn_start);
-  ctr_commits_->fetch_add(1, std::memory_order_relaxed);
+  commit_ns_.Add(txn_end - txn_start);
+  if (clock != nullptr) {
+    clock->end = txn_end;
+  }
   return Status::Ok();
 }
 
@@ -615,7 +460,7 @@ StatusOr<std::vector<std::uint8_t>> ReplicatedKvService::Read(
     return Unavailable("group " + std::to_string(group) +
                        " primary down; failover required");
   }
-  Shard& shard = *nodes_[primary];
+  Shard& shard = node(primary);
   std::lock_guard lock(shard.mu());
   return shard.Get(shard.TxnTid(), key);
 }
@@ -624,57 +469,23 @@ void ReplicatedKvService::CrashReplicas(const std::vector<int>& crash_nodes,
                                         const std::vector<CrashPlan>& plans) {
   for (std::size_t i = 0; i < crash_nodes.size(); ++i) {
     const int n = crash_nodes[i];
-    std::lock_guard lock(nodes_[n]->mu());
-    nodes_[n]->Crash(i < plans.size() ? plans[i] : CrashPlan{});
+    std::lock_guard lock(node(n).mu());
+    node(n).Crash(i < plans.size() ? plans[i] : CrashPlan{});
     alive_[n] = false;
   }
   // Queued requests of groups whose routed primary died fail Unavailable;
   // other groups keep serving.
   for (int g = 0; g < options_.groups; ++g) {
-    if (alive_[router_.PrimaryNodeFor(g)]) {
-      continue;
-    }
-    while (auto item = queues_[g]->TryPop()) {
-      item->done.set_value(
-          Unexecuted(Unavailable("request lost in power failure")));
+    if (!alive_[router_.PrimaryNodeFor(g)]) {
+      FailQueued(g);
     }
   }
-}
-
-Status ReplicatedKvService::RedoNodeIntents(int n) {
-  Shard& holder = *nodes_[n];
-  auto intents = holder.ScanIntents(holder.TxnTid());
-  if (!intents.ok()) {
-    return intents.status();
-  }
-  for (const serve::IntentRecord& intent : *intents) {
-    if (!options_.break_intent_redo) {
-      for (const KvPair& pair : intent.pairs) {
-        const int g = router_.ShardFor(pair.key);
-        for (int r : LiveReplicas(g)) {
-          Shard& replica = *nodes_[router_.NodeFor(g, r)];
-          NEARPM_RETURN_IF_ERROR(
-              replica.Put(replica.TxnTid(), pair.key, pair.value));
-          replica.Drain(replica.TxnTid());
-        }
-      }
-    }
-    NEARPM_RETURN_IF_ERROR(
-        holder.InvalidateIntent(holder.TxnTid(), intent.slot));
-    holder.Drain(holder.TxnTid());
-    metrics_.Increment("repl_intent_redos");
-  }
-  return Status::Ok();
 }
 
 Status ReplicatedKvService::Failover(int group) {
   // Quiesced path: promotion replays intents whose pairs may belong to
   // other groups, so take every node lock up front.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(nodes_.size());
-  for (auto& shard : nodes_) {
-    locks.emplace_back(shard->mu());
-  }
+  const auto locks = LockAllNodes();
   const std::vector<int> live = LiveReplicas(group);
   if (live.empty()) {
     return Unavailable("group " + std::to_string(group) +
@@ -685,7 +496,7 @@ Status ReplicatedKvService::Failover(int group) {
   // Promotion from the durable log: the new primary replays its surviving
   // records (idempotent redo) before taking traffic, so an acked-but-not-
   // replayed one-sided record can never be served stale.
-  NEARPM_RETURN_IF_ERROR(RedoNodeIntents(pn));
+  NEARPM_RETURN_IF_ERROR(RedoNodeIntents(pn, &alive_));
   router_.Promote(group, promoted);
   for (int r : live) {
     if (r == promoted) {
@@ -693,25 +504,21 @@ Status ReplicatedKvService::Failover(int group) {
     }
     const net::Delivery note = fabric_->Send(
         pn, router_.NodeFor(group, r), kCtrlBytes,
-        nodes_[pn]->Now(nodes_[pn]->TxnTid()), net::MsgKind::kPromote, 0);
-    Shard& peer = *nodes_[router_.NodeFor(group, r)];
+        node(pn).Now(node(pn).TxnTid()), net::MsgKind::kPromote, 0);
+    Shard& peer = node(group, r);
     peer.rt().WaitUntil(peer.TxnTid(), note.delivered);
   }
-  metrics_.Increment("repl_failovers");
+  failovers_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
 Status ReplicatedKvService::RecoverAll() {
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(nodes_.size());
-  for (auto& shard : nodes_) {
-    locks.emplace_back(shard->mu());
-  }
+  const auto locks = LockAllNodes();
   for (int n = 0; n < num_nodes(); ++n) {
     if (alive_[n]) {
       continue;
     }
-    NEARPM_RETURN_IF_ERROR(nodes_[n]->Recover());
+    NEARPM_RETURN_IF_ERROR(node(n).Recover());
     alive_[n] = true;
   }
   // Reconcile from the union of surviving intents across the cluster: any
@@ -720,96 +527,36 @@ Status ReplicatedKvService::RecoverAll() {
   // (idempotent upserts) before the record is retired. Replicas of a group
   // are bit-identical afterwards.
   for (int n = 0; n < num_nodes(); ++n) {
-    NEARPM_RETURN_IF_ERROR(RedoNodeIntents(n));
+    NEARPM_RETURN_IF_ERROR(RedoNodeIntents(n, &alive_));
   }
   return Status::Ok();
 }
 
-std::uint64_t ReplicatedKvService::PpoViolations(std::string* report) {
-  std::uint64_t total = 0;
-  for (auto& shard : nodes_) {
-    std::lock_guard lock(shard->mu());
-    const auto violations = PpoChecker{}.Check(shard->recorder());
-    total += violations.size();
-    if (report != nullptr && !violations.empty()) {
-      *report += "node " + std::to_string(shard->id()) + ":\n" +
-                 PpoChecker::Report(violations);
-    }
-  }
-  return total;
-}
-
-void ReplicatedKvService::ExportResourceMetrics() {
-  for (auto& shard : nodes_) {
-    std::lock_guard lock(shard->mu());
-    const Profile profile = BuildProfile(shard->recorder());
-    nearpm::ExportResourceMetrics(
-        profile, &metrics_, "repl_",
-        "node=\"" + EscapeLabelValue(std::to_string(shard->id())) + "\",");
-  }
-  // The fabric's own track stream: one kNetXfer lane per directed link,
-  // folded into per-link duty cycles.
-  const Profile fabric_profile = BuildProfile(*fabric_recorder_);
-  nearpm::ExportResourceMetrics(fabric_profile, &metrics_, "repl_",
-                                "node=\"fabric\",");
-  metrics_.MergeFrom(fabric_recorder_->metrics());
-}
-
-std::vector<TimelineSource> ReplicatedKvService::TimelineSources() {
-  std::vector<TimelineSource> sources;
-  sources.reserve(nodes_.size() + 1);
-  for (auto& shard : nodes_) {
-    std::lock_guard lock(shard->mu());
-    sources.push_back({"node" + std::to_string(shard->id()),
-                       shard->recorder().Snapshot()});
-  }
-  sources.push_back({"fabric", fabric_recorder_->Snapshot()});
-  return sources;
-}
-
 StatusOr<std::vector<KvPair>> ReplicatedKvService::DumpReplica(int group,
                                                                int replica) {
-  Shard& shard = *nodes_[router_.NodeFor(group, replica)];
+  Shard& shard = node(group, replica);
   std::lock_guard lock(shard.mu());
   return shard.DumpTable(shard.TxnTid());
 }
 
-std::uint64_t ReplicatedKvService::CounterValue(
-    const std::string& name) const {
-  const auto& counters = metrics_.counters();
-  auto it = counters.find(name);
-  return it == counters.end() ? 0 : it->second.load(std::memory_order_relaxed);
-}
-
 ReplStats ReplicatedKvService::Stats() const {
   ReplStats stats;
-  stats.completed = CounterValue("repl_completed");
-  stats.puts = CounterValue("repl_puts");
-  stats.gets = CounterValue("repl_gets");
-  stats.txns = CounterValue("repl_txns");
-  stats.rejected = CounterValue("repl_rejected");
-  stats.batches = CounterValue("repl_batches");
-  stats.failovers = CounterValue("repl_failovers");
-  stats.intent_redos = CounterValue("repl_intent_redos");
+  static_cast<serve::ServeStats&>(stats) = MergeStats();
+  stats.failovers = failovers_.load(std::memory_order_relaxed);
+  stats.intent_redos = intent_redos_.load(std::memory_order_relaxed);
   stats.net_messages = fabric_->total_messages();
-  for (const auto& shard : nodes_) {
-    stats.makespan_ns = std::max(stats.makespan_ns, shard->MakespanNs());
-  }
-  const auto& histograms = metrics_.histograms();
-  if (auto it = histograms.find("repl_request_ns"); it != histograms.end()) {
-    stats.request_p50_ns = it->second.Percentile(0.5);
-    stats.request_p99_ns = it->second.Percentile(0.99);
-  }
-  if (auto it = histograms.find("repl_commit_ns"); it != histograms.end()) {
-    stats.commit_p50_ns = it->second.Percentile(0.5);
-    stats.commit_p99_ns = it->second.Percentile(0.99);
-  }
-  if (stats.makespan_ns > 0) {
-    stats.throughput_ops_per_sec = static_cast<double>(stats.completed) /
-                                   (static_cast<double>(stats.makespan_ns) /
-                                    1e9);
-  }
+  stats.commit_p50_ns = commit_ns_.Percentile(0.5);
+  stats.commit_p99_ns = commit_ns_.Percentile(0.99);
   return stats;
+}
+
+void ReplicatedKvService::PublishCommitMetrics() {
+  metrics().Counter("repl_commits").store(commit_ns_.count());
+  metrics().Counter("repl_failovers")
+      .store(failovers_.load(std::memory_order_relaxed));
+  metrics().Counter("repl_intent_redos")
+      .store(intent_redos_.load(std::memory_order_relaxed));
+  metrics().Latency("repl_commit_ns") = commit_ns_;
 }
 
 }  // namespace repl

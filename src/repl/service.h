@@ -1,13 +1,14 @@
 // ReplicatedKvService: the serving tier of src/serve stretched across
 // replica groups connected by a simulated network fabric (src/net).
 //
-// A ShardRouter hash-partitions keys across G replica *groups*; each group
+// The replicated backend of the shared front end (src/serve/front_end.h):
+// a ShardRouter hash-partitions keys across G replica *groups*; each group
 // is K full shards (src/serve/shard.h) -- one primary plus K-1 backups, all
 // independent simulated machines with their own Runtime, devices and PM.
-// Node ids are dense: node = group * replicas + replica.
-//
-// Every mutation commits through the durable-coordinator-intent machinery
-// the single-copy service already uses, extended with replica shipping:
+// Node ids are dense: node = group * replicas + replica. Reads batch on the
+// group's routed primary; every mutation commits through the
+// durable-coordinator-intent machinery the single-copy service uses,
+// extended with replica shipping:
 //
 //   1. intent   -- the coordinator group's primary persists a redo intent
 //                  carrying the full pair set (failure-atomic, drained);
@@ -31,6 +32,10 @@
 //   5. retire   -- the intent is invalidated on every replica that holds a
 //                  copy, primary last.
 //
+// This is not serve's MultiPut at replicas = 1: it ships every
+// non-coordinator slice and exchanges sync signals over the fabric, and a
+// single put rides it as a 1-pair transaction, so the two commits stay two.
+//
 // Because a crash anywhere after step 1 leaves a durable record on at least
 // one replica, recovery reconciles the *union* of surviving intents across
 // the whole cluster and re-applies every pair to every replica of its
@@ -42,21 +47,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/net/fabric.h"
-#include "src/obs/flight_recorder.h"
-#include "src/prof/request_timeline.h"
-#include "src/serve/mpsc_ring.h"
-#include "src/serve/router.h"
-#include "src/serve/service.h"
-#include "src/serve/shard.h"
-#include "src/trace/metrics.h"
+#include "src/serve/front_end.h"
 
 namespace nearpm {
 namespace repl {
@@ -76,35 +73,14 @@ enum class ReplProtocol : std::uint8_t {
 const char* ReplProtocolName(ReplProtocol protocol);
 StatusOr<ReplProtocol> ReplProtocolFromName(const std::string& name);
 
-struct ReplOptions {
+struct ReplOptions : serve::FrontEndOptions {
   int groups = 4;    // replica groups (hash partitions)
   int replicas = 2;  // nodes per group: 1 primary + replicas-1 backups
   ReplProtocol protocol = ReplProtocol::kPrimaryBackup;
-  int workers_per_shard = 2;
-  std::size_t queue_capacity = 64;
-  int batch_max = 8;
-  ExecMode mode = ExecMode::kNdpMultiDelayed;
-  bool enforce_ppo = true;
-  bool skip_recovery_replay = false;  // fault injection (fuzzer teeth)
-  // Fault injection: recovery/failover scrubs surviving intents without
-  // re-applying them. Breaks both the all-or-nothing guarantee and replica
-  // convergence; the replication fuzzer must catch it.
-  bool break_intent_redo = false;
   // Fault injection: one-sided redo records are landed without persisting,
   // so the doorbell (and the ack it implies) races the record -- the NPM007
   // hazard, and a crash can tear an acknowledged record.
   bool skip_redo_persist = false;
-  std::uint64_t pm_size = 16ull << 20;
-  std::uint32_t table_slots = 512;
-  std::uint32_t value_size = 64;
-  double request_parse_ns = 50.0;
-  // Device geometry shared by every node's shard and by the fabric links
-  // (default = seed platform).
-  hwmodel::HwConfig hw;
-  // Flight-recorder budget in compacted events (0 disables it). Every node
-  // recorder plus the fabric recorder feeds the one shared ring, so the
-  // black box spans the whole cluster including in-flight messages.
-  std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 // Crash injection for the replication fuzzer: where ExecuteReplicatedTxn
@@ -124,61 +100,38 @@ struct ReplStop {
   int ordinal = 0;  // backup index (kMidReplicate) / participant ordinal
 };
 
-// Quiesced-state snapshot (call after Stop()/Pump(), not mid-traffic).
-struct ReplStats {
-  std::uint64_t completed = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t txns = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t intent_redos = 0;
-  std::uint64_t net_messages = 0;  // fabric frames, every MsgKind
-  SimTime makespan_ns = 0;         // slowest node's latest virtual clock
-  std::uint64_t request_p50_ns = 0;
-  std::uint64_t request_p99_ns = 0;
-  std::uint64_t commit_p50_ns = 0;  // replicated commit, intent to retire
-  std::uint64_t commit_p99_ns = 0;
-  double throughput_ops_per_sec = 0;
+// The coordinator primary's transaction clock around one replicated commit.
+struct TxnClock {
+  SimTime start = 0;  // before the intent; when the commit was attempted
+  SimTime end = 0;    // after the retire (= start when the commit failed)
 };
 
-class ReplicatedKvService {
+// Quiesced-state snapshot (call after Stop()/Pump(), not mid-traffic).
+// Queued requests only: puts and txns count queued single puts and
+// MultiPuts, batches and request_p* cover read batches on the primaries.
+struct ReplStats : serve::ServeStats {
+  std::uint64_t failovers = 0;
+  std::uint64_t intent_redos = 0;
+  std::uint64_t net_messages = 0;   // fabric frames, every MsgKind
+  std::uint64_t commit_p50_ns = 0;  // replicated commit, intent to retire
+  std::uint64_t commit_p99_ns = 0;
+};
+
+class ReplicatedKvService : public serve::FrontEnd {
  public:
   static StatusOr<std::unique_ptr<ReplicatedKvService>> Create(
       const ReplOptions& options);
-  ~ReplicatedKvService();
-
-  ReplicatedKvService(const ReplicatedKvService&) = delete;
-  ReplicatedKvService& operator=(const ReplicatedKvService&) = delete;
+  ~ReplicatedKvService() override;
 
   const ReplOptions& options() const { return options_; }
-  const ShardRouter& router() const { return router_; }
-  Shard& node(int n) { return *nodes_[n]; }
+  using FrontEnd::node;
   Shard& node(int group, int replica) {
-    return *nodes_[router_.NodeFor(group, replica)];
+    return node(router_.NodeFor(group, replica));
   }
   int num_groups() const { return options_.groups; }
-  int num_nodes() const { return static_cast<int>(nodes_.size()); }
   bool alive(int n) const { return alive_[n]; }
   net::Fabric& fabric() { return *fabric_; }
   TraceRecorder& fabric_recorder() { return *fabric_recorder_; }
-  MetricsRegistry& metrics() { return metrics_; }
-  // The cluster-wide flight recorder (null when flight_capacity == 0).
-  obs::FlightRecorder* flight() { return flight_.get(); }
-
-  // Admission: routes the request to its coordinator group's queue. A full
-  // queue rejects with ResourceExhausted (caller-visible backpressure).
-  StatusOr<std::future<ServeResult>> Submit(ServeRequest request);
-
-  // ---- Threaded mode --------------------------------------------------------
-  void Start();  // spawns workers_per_shard OS threads per group
-  void Stop();   // closes queues, drains and joins every worker
-
-  // ---- Deterministic mode ---------------------------------------------------
-  // Drains every group queue inline. Returns requests executed. Must not
-  // run concurrently with Start().
-  std::uint64_t Pump();
 
   // The replicated commit (also the path every queued kPut/kMultiPut takes;
   // a single put is a 1-pair transaction, so it rides the same intent +
@@ -187,9 +140,11 @@ class ReplicatedKvService {
   // transaction then reports Unavailable.
   // `trace_id` tags every replica's and the fabric's events with the
   // originating request, so the cross-node timeline can be reconstructed.
+  // `clock` (optional) receives the coordinator's transaction clock.
   Status ExecuteReplicatedTxn(const std::vector<KvPair>& pairs,
                               const ReplStop& stop = {},
-                              std::uint64_t trace_id = 0);
+                              std::uint64_t trace_id = 0,
+                              TxnClock* clock = nullptr);
 
   // Read from the owning group's current primary (Unavailable when it is
   // down and no failover has promoted a backup yet).
@@ -211,77 +166,32 @@ class ReplicatedKvService {
   // All replicas of a group are bit-identical afterwards.
   Status RecoverAll();
 
-  // PPO audit over every node's trace.
-  std::uint64_t PpoViolations(std::string* report = nullptr);
-
-  // Publishes per-node resource duty cycles (repl_duty{node="3",...}) and
-  // the fabric's per-link duty cycles (node="fabric", resource="network
-  // fabric / link N"), then folds the fabric's message/byte counters into
-  // metrics(). Call once, quiesced.
-  void ExportResourceMetrics();
-
   // Bit-exact live-table image of one replica (the divergence oracle
   // compares all replicas of a group).
   StatusOr<std::vector<KvPair>> DumpReplica(int group, int replica);
 
-  // Labeled event-stream snapshots of every node recorder ("node<N>") plus
-  // the fabric ("fabric"): the input BuildRequestTimeline wants. Call
-  // quiesced (each node snapshot takes that node's lock).
-  std::vector<TimelineSource> TimelineSources();
-
   ReplStats Stats() const;
 
  private:
-  struct QueuedRequest {
-    ServeRequest request;
-    std::promise<ServeResult> done;
-    std::uint64_t trace_id = 0;  // allocated at admission
-  };
-
   explicit ReplicatedKvService(const ReplOptions& options);
 
-  void WorkerLoop(int group, int worker);
-  void ExecuteBatch(int group, int worker, std::vector<QueuedRequest> batch);
+  // Reads under one lock/doorbell/fence on the group's primary, then every
+  // mutation through the replicated commit (which takes its own locks).
+  void ExecuteBatch(int group, int worker,
+                    std::vector<QueuedRequest>& batch) override;
+  void PublishCommitMetrics() override;
 
   // Live replica indices of a group, ascending (primary not necessarily
   // first -- use router_.PrimaryReplica).
   std::vector<int> LiveReplicas(int group) const;
-  // Replays `node`'s surviving intents onto every live replica of each
-  // pair's owning group, then retires them on `node`. The idempotent-redo
-  // core shared by Failover and RecoverAll.
-  Status RedoNodeIntents(int node);
-
-  std::uint64_t CounterValue(const std::string& name) const;
 
   ReplOptions options_;
-  ShardRouter router_;
-  std::vector<std::unique_ptr<Shard>> nodes_;  // index = node id
-  std::vector<bool> alive_;
+  std::vector<bool> alive_;  // index = node id
   std::unique_ptr<TraceRecorder> fabric_recorder_;
   std::unique_ptr<net::Fabric> fabric_;
-  std::vector<std::unique_ptr<serve::MpscRing<QueuedRequest>>> queues_;
-  std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> txn_counter_{0};
-  std::vector<int> pump_rr_;
-  MetricsRegistry metrics_;
-
-  // Request trace ids, allocated at admission (1-based; 0 = untraced).
-  std::atomic<std::uint64_t> trace_counter_{0};
-  std::unique_ptr<obs::FlightRecorder> flight_;
-
-  // Completion-path metric handles resolved once in the constructor (the
-  // registry guarantees reference stability), so the batch and commit loops
-  // bump atomics instead of doing string-keyed map lookups per request.
-  std::atomic<std::uint64_t>* ctr_enqueued_ = nullptr;
-  std::atomic<std::uint64_t>* ctr_rejected_ = nullptr;
-  std::atomic<std::uint64_t>* ctr_completed_ = nullptr;
-  std::atomic<std::uint64_t>* ctr_gets_ = nullptr;
-  std::atomic<std::uint64_t>* ctr_puts_ = nullptr;
-  std::atomic<std::uint64_t>* ctr_txns_ = nullptr;
-  std::atomic<std::uint64_t>* ctr_batches_ = nullptr;
-  std::atomic<std::uint64_t>* ctr_commits_ = nullptr;
-  Histogram* request_ns_ = nullptr;
-  Histogram* commit_ns_ = nullptr;
+  std::atomic<std::uint64_t> failovers_{0};
+  Histogram commit_ns_;  // every committed replicated txn, intent to retire
 };
 
 }  // namespace repl

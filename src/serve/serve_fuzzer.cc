@@ -140,7 +140,7 @@ Status ServeFuzzer::ExecutePrefix(const ServeFuzzCase& c,
   so.mode = config_.mode;
   so.enforce_ppo = config_.enforce_ppo;
   so.skip_recovery_replay = config_.skip_recovery_replay;
-  so.break_txn_redo = config_.break_txn_redo;
+  so.break_intent_redo = config_.break_txn_redo;
   so.table_slots = config_.table_slots;
   so.value_size = config_.value_size;
   auto service_or = KvService::Create(so);

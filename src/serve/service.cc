@@ -4,26 +4,14 @@
 #include <utility>
 
 #include "src/ndp/sync_machine.h"
-#include "src/prof/profile.h"
-#include "src/trace/ppo_checker.h"
 
 namespace nearpm {
 namespace serve {
-namespace {
-
-ServeResult Unexecuted(Status status) {
-  ServeResult result;
-  result.status = std::move(status);
-  return result;
-}
-
-}  // namespace
 
 KvService::KvService(const ServeOptions& options)
-    : options_(options),
-      router_(options.shards),
-      worker_metrics_(static_cast<std::size_t>(options.shards) *
-                      static_cast<std::size_t>(options.workers_per_shard)) {}
+    : FrontEnd(options, options.shards, /*replicas=*/1, options.slo, "serve_",
+               "shard"),
+      options_(options) {}
 
 KvService::~KvService() { Stop(); }
 
@@ -32,60 +20,12 @@ StatusOr<std::unique_ptr<KvService>> KvService::Create(
   if (options.shards < 1) {
     return InvalidArgument("service needs at least one shard");
   }
-  if (options.workers_per_shard < 1 || options.batch_max < 1 ||
-      options.queue_capacity < 1) {
-    return InvalidArgument(
-        "workers, batch_max and queue_capacity must be >= 1");
-  }
+  NEARPM_RETURN_IF_ERROR(Validate(options));
   if (options.slo_enabled) {
     NEARPM_RETURN_IF_ERROR(options.slo.Validate());
   }
   auto service = std::unique_ptr<KvService>(new KvService(options));
-  ShardOptions so;
-  so.mode = options.mode;
-  so.enforce_ppo = options.enforce_ppo;
-  so.skip_recovery_replay = options.skip_recovery_replay;
-  so.pm_size = options.pm_size;
-  so.table_slots = options.table_slots;
-  so.value_size = options.value_size;
-  so.workers = options.workers_per_shard;
-  so.hw = options.hw;
-  for (int s = 0; s < options.shards; ++s) {
-    auto shard = Shard::Create(so, s);
-    if (!shard.ok()) {
-      return shard.status();
-    }
-    service->shards_.push_back(std::move(*shard));
-    service->queues_.push_back(
-        std::make_unique<MpscRing<QueuedRequest>>(options.queue_capacity));
-  }
-  service->pump_rr_.assign(options.shards, 0);
-
-  // Live observability: one flight ring fed by every shard recorder, one
-  // sliding window per (shard, worker) -- mirroring the WorkerMetrics
-  // layout so the hot path touches only writer-private state -- and the
-  // optional watchdog over the merged view.
-  if (options.flight_capacity > 0) {
-    service->flight_ =
-        std::make_unique<obs::FlightRecorder>(options.flight_capacity);
-    for (int s = 0; s < options.shards; ++s) {
-      service->shards_[s]->recorder().AttachSink(
-          service->flight_->RegisterSource("shard" + std::to_string(s)));
-    }
-  }
-  obs::WindowOptions wo;
-  wo.window_ns = static_cast<SimTime>(options.slo.window_ns);
-  wo.slow_k = options.slo.slow_k;
-  const std::size_t blocks = static_cast<std::size_t>(options.shards) *
-                             static_cast<std::size_t>(options.workers_per_shard);
-  service->windows_.reserve(blocks);
-  for (std::size_t i = 0; i < blocks; ++i) {
-    service->windows_.emplace_back(wo);
-  }
-  service->window_ptrs_.reserve(blocks);
-  for (const obs::SlidingWindow& win : service->windows_) {
-    service->window_ptrs_.push_back(&win);
-  }
+  NEARPM_RETURN_IF_ERROR(service->CreateNodes(/*fabric=*/nullptr));
   if (options.slo_enabled) {
     obs::WatchdogOptions wd;
     wd.spec = options.slo;
@@ -96,127 +36,9 @@ StatusOr<std::unique_ptr<KvService>> KvService::Create(
   return service;
 }
 
-StatusOr<std::future<ServeResult>> KvService::Submit(ServeRequest request) {
-  int shard_id;
-  if (request.kind == RequestKind::kMultiPut) {
-    if (request.pairs.empty()) {
-      return InvalidArgument("MultiPut carries no pairs");
-    }
-    std::vector<std::uint64_t> keys;
-    keys.reserve(request.pairs.size());
-    for (const KvPair& pair : request.pairs) {
-      keys.push_back(pair.key);
-    }
-    shard_id = router_.ParticipantsFor(keys).front();  // coordinator
-  } else {
-    shard_id = router_.ShardFor(request.key);
-  }
-
-  // Cheap pre-check before paying for the promise/future pair: a full ring
-  // rejects most attempts here, without allocating the completion channel
-  // the push would only throw away. TryPush below stays authoritative.
-  MpscRing<QueuedRequest>& queue = *queues_[shard_id];
-  const std::size_t depth = queue.size();
-  if (depth >= queue.capacity()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return ResourceExhausted("shard " + std::to_string(shard_id) +
-                             " queue full (" +
-                             std::to_string(queue.capacity()) +
-                             " requests), retry after draining");
-  }
-  QueuedRequest item;
-  item.request = std::move(request);
-  // The request's identity for the rest of its life: stamped on every trace
-  // event it produces, on any node (a rejected push burns an id; ids only
-  // need to be unique, not dense).
-  item.trace_id = trace_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::future<ServeResult> done = item.done.get_future();
-  if (!queue.TryPush(item)) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return ResourceExhausted("shard " + std::to_string(shard_id) +
-                             " queue full (" +
-                             std::to_string(queue.capacity()) +
-                             " requests), retry after draining");
-  }
-  enqueued_.fetch_add(1, std::memory_order_relaxed);
-  queue_depth_.Add(depth);
-  return done;
-}
-
-void KvService::Start() {
-  for (int s = 0; s < num_shards(); ++s) {
-    for (int w = 0; w < options_.workers_per_shard; ++w) {
-      workers_.emplace_back([this, s, w] { WorkerLoop(s, w); });
-    }
-  }
-}
-
-void KvService::Stop() {
-  for (auto& queue : queues_) {
-    queue->Close();
-  }
-  for (auto& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
-  }
-  workers_.clear();
-}
-
-void KvService::WorkerLoop(int shard_id, int worker) {
-  MpscRing<QueuedRequest>& queue = *queues_[shard_id];
-  std::vector<QueuedRequest> batch;  // reused across batches
-  batch.reserve(static_cast<std::size_t>(options_.batch_max));
-  while (true) {
-    auto first = queue.Pop();  // blocks; empty optional = closed + drained
-    if (!first.has_value()) {
-      return;
-    }
-    batch.clear();
-    batch.push_back(std::move(*first));
-    while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-      auto more = queue.TryPop();
-      if (!more.has_value()) {
-        break;
-      }
-      batch.push_back(std::move(*more));
-    }
-    ExecuteBatch(shard_id, worker, batch);
-  }
-}
-
-std::uint64_t KvService::Pump() {
-  std::uint64_t executed = 0;
-  std::vector<QueuedRequest> batch;  // reused across batches
-  batch.reserve(static_cast<std::size_t>(options_.batch_max));
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (int s = 0; s < num_shards(); ++s) {
-      batch.clear();
-      while (batch.size() < static_cast<std::size_t>(options_.batch_max)) {
-        auto item = queues_[s]->TryPop();
-        if (!item.has_value()) {
-          break;
-        }
-        batch.push_back(std::move(*item));
-      }
-      if (batch.empty()) {
-        continue;
-      }
-      progress = true;
-      executed += batch.size();
-      const int worker = pump_rr_[s];
-      pump_rr_[s] = (pump_rr_[s] + 1) % options_.workers_per_shard;
-      ExecuteBatch(s, worker, batch);
-    }
-  }
-  return executed;
-}
-
-Status KvService::ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
-                               SimTime batch_start, WorkerMetrics& wm,
-                               obs::SlidingWindow& win) {
+void KvService::ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
+                             SimTime batch_start, WorkerMetrics& wm,
+                             obs::SlidingWindow& win) {
   Runtime& rt = shard.rt();
   const SimTime start = rt.Now(tid);
   rt.Compute(tid, options_.request_parse_ns);
@@ -256,16 +78,12 @@ Status KvService::ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
                     .seq = item.request.key);
   result.latency_ns = end - batch_start;
   wm.request_ns.Add(result.latency_ns);
-  wm.completed.fetch_add(1, std::memory_order_relaxed);
-  Status status = result.status;
-  win.RecordLatency(end, result.latency_ns, !status.ok(), item.trace_id);
-  item.done.set_value(std::move(result));
-  return status;
+  Complete(item, std::move(result), end, wm, win);
 }
 
 void KvService::ExecuteBatch(int shard_id, int worker,
                              std::vector<QueuedRequest>& batch) {
-  Shard& shard = *shards_[shard_id];
+  Shard& shard = node(shard_id);
   const ThreadId tid = shard.WorkerTid(worker);
   WorkerMetrics& wm = worker_metrics(shard_id, worker);
   obs::SlidingWindow& win = window(shard_id, worker);
@@ -292,7 +110,7 @@ void KvService::ExecuteBatch(int shard_id, int worker,
                        .ts = batch_start, .arg0 = locals);
     // Residual backlog after this batch was picked up: the shard-queue
     // occupancy series the profiler and Perfetto counter track render.
-    const std::uint64_t backlog = queues_[shard_id]->size();
+    const std::uint64_t backlog = Backlog(shard_id);
     NEARPM_TRACE_EVENT(&shard.recorder(),
                        .phase = TracePhase::kServeQueueDepth,
                        .pid = kTraceServePid,
@@ -303,7 +121,7 @@ void KvService::ExecuteBatch(int shard_id, int worker,
       if (item.request.kind == RequestKind::kMultiPut) {
         continue;
       }
-      (void)ExecuteLocal(shard, tid, item, batch_start, wm, win);
+      ExecuteLocal(shard, tid, item, batch_start, wm, win);
     }
     rt.Fence(tid);
     const SimTime batch_end = rt.Now(tid);
@@ -329,9 +147,9 @@ void KvService::ExecuteBatch(int shard_id, int worker,
       continue;
     }
     // The coordinator is this shard (Submit routed the request here), so
-    // its clock brackets the transaction for the window's latency sample.
-    // Clock reads take the shard lock: a peer worker's transaction on this
-    // shard advances the same TxnTid clock concurrently.
+    // its clock brackets the transaction for the latency sample. Clock
+    // reads take the shard lock: a peer worker's transaction on this shard
+    // advances the same TxnTid clock concurrently.
     const ThreadId coord_tid = shard.TxnTid();
     SimTime txn_start;
     {
@@ -349,48 +167,12 @@ void KvService::ExecuteBatch(int shard_id, int worker,
     }
     result.latency_ns = txn_end > txn_start ? txn_end - txn_start : 0;
     txn_last_end = txn_end;
-    wm.completed.fetch_add(1, std::memory_order_relaxed);
-    win.RecordLatency(txn_end, result.latency_ns, !result.status.ok(),
-                      item.trace_id);
-    item.done.set_value(std::move(result));
+    Complete(item, std::move(result), txn_end, wm, win);
   }
   if (watchdog_ != nullptr) {
     std::lock_guard lock(shard.mu());
     SloCheck(txn_last_end, &shard.recorder());
   }
-}
-
-void KvService::SloCheck(SimTime now, TraceRecorder* recorder) {
-  if (watchdog_ == nullptr) {
-    return;
-  }
-  const std::uint64_t stalled = rejected_.load(std::memory_order_relaxed);
-  const std::uint64_t attempted =
-      stalled + enqueued_.load(std::memory_order_relaxed);
-  watchdog_->MaybeCheck(now, window_ptrs_, stalled, attempted, recorder);
-}
-
-obs::WindowStats KvService::WindowSnapshot(SimTime now) const {
-  return obs::SlidingWindow::Merge(window_ptrs_, now);
-}
-
-bool KvService::DumpFlightRecord(std::ostream& os) const {
-  if (flight_ == nullptr) {
-    return false;
-  }
-  obs::WriteFlightDump(os, *flight_, nullptr);
-  return true;
-}
-
-std::vector<TimelineSource> KvService::TimelineSources() {
-  std::vector<TimelineSource> sources;
-  sources.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mu());
-    sources.push_back({"shard" + std::to_string(shard->id()),
-                       shard->recorder().Snapshot()});
-  }
-  return sources;
 }
 
 Status KvService::ExecuteMultiPut(const std::vector<KvPair>& pairs,
@@ -413,33 +195,17 @@ Status KvService::ExecuteMultiPut(const std::vector<KvPair>& pairs,
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(participants.size());
   for (int p : participants) {
-    locks.emplace_back(shards_[p]->mu());
+    locks.emplace_back(node(p).mu());
   }
 
-  Shard& coord = *shards_[participants.front()];
+  Shard& coord = node(participants.front());
   const ThreadId coord_tid = coord.TxnTid();
   const std::uint64_t txn_id = ++txn_counter_;
   const SimTime txn_start = coord.Now(coord_tid);
 
-  // Tag every participant's events with the originating request while their
-  // locks are held (set_active_trace is recorder-shared state, serialized by
-  // shard.mu()). Restores to 0 on every exit path, including the crash
-  // injections and error returns above each phase.
-  struct TxnTraceScopes {
-    std::vector<TraceRecorder*> recorders;
-    ~TxnTraceScopes() {
-      for (TraceRecorder* r : recorders) {
-        r->set_active_trace(0);
-      }
-    }
-  } trace_scopes;
-  if (trace_id != 0) {
-    trace_scopes.recorders.reserve(participants.size());
-    for (int p : participants) {
-      TraceRecorder* r = &shards_[p]->recorder();
-      r->set_active_trace(trace_id);
-      trace_scopes.recorders.push_back(r);
-    }
+  TxnTraceScopes trace_scopes(trace_id, participants.size());
+  for (int p : participants) {
+    trace_scopes.Tag(&node(p).recorder());
   }
 
   // Phase 1 -- durable intent on the coordinator. Drained before any slice
@@ -466,7 +232,7 @@ Status KvService::ExecuteMultiPut(const std::vector<KvPair>& pairs,
   // Phase 3 -- each participant applies its slice failure-atomically, drains
   // it durable and signals local completion.
   for (int ordinal = 0; ordinal < k; ++ordinal) {
-    Shard& shard = *shards_[participants[ordinal]];
+    Shard& shard = node(participants[ordinal]);
     const ThreadId tid = shard.TxnTid();
     for (const KvPair& pair : pairs) {
       if (router_.ShardFor(pair.key) != shard.id()) {
@@ -505,11 +271,11 @@ Status KvService::ExecuteMultiPut(const std::vector<KvPair>& pairs,
   }
   SimTime rendezvous = 0;
   for (int p : participants) {
-    rendezvous = std::max(rendezvous, shards_[p]->Now(shards_[p]->TxnTid()));
+    rendezvous = std::max(rendezvous, node(p).Now(node(p).TxnTid()));
   }
   rendezvous += coord.rt().options().hw.cost.ndp_remote_status_ns;
   for (int p : participants) {
-    shards_[p]->rt().WaitUntil(shards_[p]->TxnTid(), rendezvous);
+    node(p).rt().WaitUntil(node(p).TxnTid(), rendezvous);
   }
 
   // Invariant 3: the retire write below is ordered after the cross-shard
@@ -544,160 +310,33 @@ Status KvService::ExecuteMultiPut(const std::vector<KvPair>& pairs,
 
 void KvService::CrashAll(const std::vector<CrashPlan>& plans) {
   for (int s = 0; s < num_shards(); ++s) {
-    std::lock_guard lock(shards_[s]->mu());
-    shards_[s]->Crash(s < static_cast<int>(plans.size()) ? plans[s]
-                                                         : CrashPlan{});
+    std::lock_guard lock(shard(s).mu());
+    shard(s).Crash(s < static_cast<int>(plans.size()) ? plans[s]
+                                                      : CrashPlan{});
   }
   // The power failure also loses every admitted-but-unexecuted request.
-  for (auto& queue : queues_) {
-    while (auto item = queue->TryPop()) {
-      item->done.set_value(
-          Unexecuted(Unavailable("request lost in power failure")));
-    }
+  for (int s = 0; s < num_shards(); ++s) {
+    FailQueued(s);
   }
 }
 
 Status KvService::RecoverAll() {
   // Quiesced path (no workers running): take every shard lock up front.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    locks.emplace_back(shard->mu());
+  const auto locks = LockAllNodes();
+  for (int s = 0; s < num_shards(); ++s) {
+    NEARPM_RETURN_IF_ERROR(shard(s).Recover());
   }
-  for (auto& shard : shards_) {
-    NEARPM_RETURN_IF_ERROR(shard->Recover());
-  }
-  // Cross-shard intent redo: any transaction whose intent survived was past
-  // its durability point, so recovery re-applies every pair (idempotent
-  // upsert) before retiring the intent -- all-or-nothing across shards.
-  for (auto& coord : shards_) {
-    const ThreadId coord_tid = coord->TxnTid();
-    auto intents = coord->ScanIntents(coord_tid);
-    if (!intents.ok()) {
-      return intents.status();
-    }
-    for (const IntentRecord& intent : *intents) {
-      if (!options_.break_txn_redo) {
-        for (const KvPair& pair : intent.pairs) {
-          Shard& owner = *shards_[router_.ShardFor(pair.key)];
-          NEARPM_RETURN_IF_ERROR(
-              owner.Put(owner.TxnTid(), pair.key, pair.value));
-          owner.Drain(owner.TxnTid());
-        }
-      }
-      NEARPM_RETURN_IF_ERROR(coord->InvalidateIntent(coord_tid, intent.slot));
-      coord->Drain(coord_tid);
-      txn_redos_.fetch_add(1, std::memory_order_relaxed);
-    }
+  // Cross-shard intent redo (replicas = 1: each pair's owner is one shard).
+  for (int s = 0; s < num_shards(); ++s) {
+    NEARPM_RETURN_IF_ERROR(RedoNodeIntents(s));
   }
   return Status::Ok();
 }
 
-std::uint64_t KvService::PpoViolations(std::string* report) {
-  std::uint64_t total = 0;
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mu());
-    const auto violations = PpoChecker{}.Check(shard->recorder());
-    total += violations.size();
-    if (report != nullptr && !violations.empty()) {
-      *report += "shard " + std::to_string(shard->id()) + ":\n" +
-                 PpoChecker::Report(violations);
-    }
-  }
-  return total;
-}
-
-void KvService::ExportResourceMetrics() {
-  PublishMetrics();
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mu());
-    const Profile profile = BuildProfile(shard->recorder());
-    nearpm::ExportResourceMetrics(
-        profile, &metrics_, "serve_",
-        "shard=\"" + EscapeLabelValue(std::to_string(shard->id())) + "\",");
-  }
-}
-
-ServeStats KvService::Stats() const {
-  // One pass over the per-worker blocks; no registry lookups (the old
-  // implementation walked the counter map once per stat name).
-  ServeStats stats;
-  Histogram request_ns;
-  for (const WorkerMetrics& wm : worker_metrics_) {
-    stats.completed += wm.completed.load(std::memory_order_relaxed);
-    stats.puts += wm.puts.load(std::memory_order_relaxed);
-    stats.gets += wm.gets.load(std::memory_order_relaxed);
-    stats.batches += wm.batches.load(std::memory_order_relaxed);
-    request_ns.MergeFrom(wm.request_ns);
-  }
-  stats.txns = txns_.load(std::memory_order_relaxed);
-  stats.rejected = rejected_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    stats.makespan_ns = std::max(stats.makespan_ns, shard->MakespanNs());
-  }
-  stats.request_p50_ns = request_ns.Percentile(0.5);
-  stats.request_p99_ns = request_ns.Percentile(0.99);
-  if (stats.makespan_ns > 0) {
-    stats.throughput_ops_per_sec = static_cast<double>(stats.completed) /
-                                   (static_cast<double>(stats.makespan_ns) /
-                                    1e9);
-  }
-  return stats;
-}
-
-void KvService::PublishMetrics() {
-  // Merge the worker blocks, then *store* the totals under the historical
-  // registry names: publishing is idempotent, so scrapes never double-count.
-  std::uint64_t completed = 0;
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  std::uint64_t batches = 0;
-  Histogram request_ns;
-  Histogram batch_size;
-  for (const WorkerMetrics& wm : worker_metrics_) {
-    completed += wm.completed.load(std::memory_order_relaxed);
-    puts += wm.puts.load(std::memory_order_relaxed);
-    gets += wm.gets.load(std::memory_order_relaxed);
-    batches += wm.batches.load(std::memory_order_relaxed);
-    request_ns.MergeFrom(wm.request_ns);
-    batch_size.MergeFrom(wm.batch_size);
-  }
-  metrics_.Counter("serve_completed").store(completed);
-  metrics_.Counter("serve_puts").store(puts);
-  metrics_.Counter("serve_gets").store(gets);
-  metrics_.Counter("serve_batches").store(batches);
-  metrics_.Counter("serve_txns").store(txns_.load(std::memory_order_relaxed));
-  metrics_.Counter("serve_txn_redos")
-      .store(txn_redos_.load(std::memory_order_relaxed));
-  metrics_.Counter("serve_rejected")
-      .store(rejected_.load(std::memory_order_relaxed));
-  metrics_.Counter("serve_enqueued")
-      .store(enqueued_.load(std::memory_order_relaxed));
-  metrics_.Latency("serve_request_ns") = request_ns;
-  metrics_.Latency("serve_batch_size") = batch_size;
-  metrics_.Latency("serve_queue_depth") = queue_depth_;
-  metrics_.Latency("serve_txn_ns") = txn_ns_;
-
-  // The live view: sliding-window aggregates as of the slowest shard's
-  // clock, published as gauges (they describe "now", not "ever").
-  SimTime now = 0;
-  for (const auto& shard : shards_) {
-    now = std::max(now, shard->MakespanNs());
-  }
-  const obs::WindowStats win = WindowSnapshot(now);
-  metrics_.SetGauge("serve_window_qps", win.Qps());
-  metrics_.SetGauge("serve_window_error_rate", win.ErrorRate());
-  metrics_.SetGauge("serve_window_count", static_cast<double>(win.count));
-  metrics_.SetGauge("serve_window_p50_ns",
-                    static_cast<double>(win.latency.Percentile(0.5)));
-  metrics_.SetGauge("serve_window_p99_ns",
-                    static_cast<double>(win.latency.Percentile(0.99)));
-  metrics_.SetGauge("serve_window_depth_max",
-                    static_cast<double>(win.depth_max));
-  if (watchdog_ != nullptr) {
-    metrics_.Counter("serve_slo_checks").store(watchdog_->checks());
-    metrics_.Counter("serve_slo_alerts").store(watchdog_->alert_count());
-  }
+void KvService::PublishCommitMetrics() {
+  metrics().Counter("serve_txn_redos")
+      .store(intent_redos_.load(std::memory_order_relaxed));
+  metrics().Latency("serve_txn_ns") = txn_ns_;
 }
 
 }  // namespace serve

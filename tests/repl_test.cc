@@ -385,6 +385,59 @@ TEST(ReplServiceTest, ThreadedWorkersServeReplicatedWrites) {
   }
 }
 
+TEST(ReplServiceTest, WritesReportTheirCommitLatencyAndFeedTheWindow) {
+  const ReplOptions ro = SmallOptions(2, 2, ReplProtocol::kOneSidedRedo);
+  auto svc_or = ReplicatedKvService::Create(ro);
+  ASSERT_TRUE(svc_or.ok());
+  ReplicatedKvService& svc = **svc_or;
+
+  std::vector<std::future<ServeResult>> writes;
+  std::vector<std::future<ServeResult>> reads;
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    ServeRequest req;
+    if (i % 7 == 6) {
+      req.kind = RequestKind::kMultiPut;
+      for (std::uint64_t j = 0; j < 3; ++j) {
+        req.pairs.push_back(KvPair{800 + i * 10 + j, Value(i + j)});
+      }
+    } else if (i % 3 == 2) {
+      req.kind = RequestKind::kGet;
+      req.key = 600 + i / 2;
+    } else {
+      req.kind = RequestKind::kPut;
+      req.key = 600 + i;
+      req.value = Value(i);
+    }
+    const bool write = req.kind != RequestKind::kGet;
+    auto fut = svc.Submit(std::move(req));
+    ASSERT_TRUE(fut.ok());
+    (write ? writes : reads).push_back(std::move(*fut));
+  }
+  svc.Pump();
+
+  // Every write's latency is its coordinator's intent -> retire clock: the
+  // same sample the commit histogram records.
+  std::uint64_t write_ns = 0;
+  for (auto& fut : writes) {
+    const ServeResult r = fut.get();
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_GT(r.latency_ns, 0u);
+    write_ns += r.latency_ns;
+  }
+  for (auto& fut : reads) {
+    fut.get();
+  }
+  svc.PublishMetrics();
+  const Histogram& commit = svc.metrics().histograms().at("repl_commit_ns");
+  EXPECT_EQ(commit.count(), writes.size());
+  EXPECT_EQ(write_ns, commit.sum());
+
+  // Reads and writes both land in the sliding windows.
+  const ReplStats stats = svc.Stats();
+  EXPECT_EQ(stats.completed, 20u);
+  EXPECT_EQ(svc.WindowSnapshot(stats.makespan_ns).count, stats.completed);
+}
+
 // ---- Observability ----------------------------------------------------------
 
 TEST(ReplServiceTest, ExportsNodeAndFabricResourceMetrics) {

@@ -5,9 +5,12 @@
 
 #include <cstdint>
 #include <future>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/repl/service.h"
 #include "src/serve/mpsc_ring.h"
 #include "src/serve/router.h"
 #include "src/serve/service.h"
@@ -430,29 +433,77 @@ TEST(KvServiceTest, StatsExposeQueueAndLatencyInstrumentation) {
             (*svc)->metrics().histograms().end());
 }
 
+// Everything PublishMetrics stores, as comparable values.
+struct Published {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> histograms;
+  std::map<std::string, double> gauges;
+  bool operator==(const Published&) const = default;
+};
+
+Published Scrape(FrontEnd& svc) {
+  Published p;
+  for (const auto& [name, value] : svc.metrics().counters()) {
+    p.counters[name] = value.load();
+  }
+  for (const auto& [name, h] : svc.metrics().histograms()) {
+    p.histograms[name] = {h.count(), h.sum()};
+  }
+  for (const auto& [name, gauge] : svc.metrics().gauges()) {
+    p.gauges[name] = gauge.value();
+  }
+  return p;
+}
+
+// The shared half of the check below: the registry view agrees with the
+// Stats() merge under the service's prefix, and publishing or exporting a
+// second time stores the same totals (no accumulation).
+void ExpectPublishedEqualsStats(FrontEnd& svc, const ServeStats& stats,
+                                const std::string& prefix) {
+  svc.ExportResourceMetrics();
+  const Published first = Scrape(svc);
+  svc.PublishMetrics();
+  svc.ExportResourceMetrics();
+  EXPECT_TRUE(Scrape(svc) == first)
+      << prefix << ": a second scrape changed the published metrics";
+  const auto& counters = first.counters;
+  EXPECT_EQ(counters.at(prefix + "completed"), stats.completed);
+  EXPECT_EQ(counters.at(prefix + "puts"), stats.puts);
+  EXPECT_EQ(counters.at(prefix + "gets"), stats.gets);
+  EXPECT_EQ(counters.at(prefix + "txns"), stats.txns);
+  EXPECT_EQ(counters.at(prefix + "batches"), stats.batches);
+  const Histogram& request_ns =
+      svc.metrics().histograms().at(prefix + "request_ns");
+  EXPECT_EQ(request_ns.Percentile(0.99), stats.request_p99_ns);
+}
+
 // Regression for the deferred-metrics split: Stats() is one merge pass over
 // the worker-local blocks and must equal the published registry totals, and
-// both must be idempotent (scraping twice never double-counts).
+// both must be idempotent (scraping twice never double-counts) -- for both
+// services behind the shared front end.
 TEST(KvServiceTest, StatsEqualsPublishedWorkerLocalCounts) {
-  ServeOptions so = SmallOptions(2);
-  so.workers_per_shard = 2;
-  auto svc = KvService::Create(so);
-  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
-
-  for (std::uint64_t key = 0; key < 60; ++key) {
-    ServeRequest req;
-    req.kind = key % 4 == 3 ? RequestKind::kGet : RequestKind::kPut;
-    req.key = key;
-    if (req.kind == RequestKind::kPut) {
-      req.value = Value(key);
+  auto submit_mix = [](FrontEnd& svc) {
+    for (std::uint64_t key = 0; key < 60; ++key) {
+      ServeRequest req;
+      req.kind = key % 4 == 3 ? RequestKind::kGet : RequestKind::kPut;
+      req.key = key;
+      if (req.kind == RequestKind::kPut) {
+        req.value = Value(key);
+      }
+      ASSERT_TRUE(svc.Submit(std::move(req)).ok());
     }
-    ASSERT_TRUE((*svc)->Submit(std::move(req)).ok());
-  }
-  (*svc)->Pump();
+  };
   std::vector<KvPair> pairs;
   for (std::uint64_t key = 900; key < 904; ++key) {
     pairs.push_back(KvPair{key, Value(key)});
   }
+
+  ServeOptions so = SmallOptions(2);
+  so.workers_per_shard = 2;
+  auto svc = KvService::Create(so);
+  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  submit_mix(**svc);
+  (*svc)->Pump();
   ASSERT_TRUE((*svc)->ExecuteMultiPut(pairs).ok());
 
   const ServeStats first = (*svc)->Stats();
@@ -467,24 +518,46 @@ TEST(KvServiceTest, StatsEqualsPublishedWorkerLocalCounts) {
   EXPECT_EQ(second.batches, first.batches);
   EXPECT_EQ(second.request_p99_ns, first.request_p99_ns);
 
-  // Publishing twice stores the same totals (no accumulation), and the
-  // registry view agrees with the merge pass.
-  (*svc)->PublishMetrics();
-  (*svc)->PublishMetrics();
-  const auto& counters = (*svc)->metrics().counters();
-  EXPECT_EQ(counters.at("serve_completed").load(), first.completed);
-  EXPECT_EQ(counters.at("serve_puts").load(), first.puts);
-  EXPECT_EQ(counters.at("serve_gets").load(), first.gets);
-  EXPECT_EQ(counters.at("serve_txns").load(), first.txns);
-  EXPECT_EQ(counters.at("serve_batches").load(), first.batches);
-  EXPECT_EQ(counters.at("serve_enqueued").load(), 60u);
+  ExpectPublishedEqualsStats(**svc, first, "serve_");
   const auto& histograms = (*svc)->metrics().histograms();
+  EXPECT_EQ((*svc)->metrics().counters().at("serve_enqueued").load(), 60u);
   // All 60 completions were local requests (the MultiPut ran directly, not
   // through a queue), so each added one request-latency sample.
   EXPECT_EQ(histograms.at("serve_request_ns").count(), 60u);
-  EXPECT_EQ(histograms.at("serve_request_ns").Percentile(0.99),
-            first.request_p99_ns);
   EXPECT_EQ(histograms.at("serve_txn_ns").count(), first.txns);
+
+  // The replicated tier: every write is a replicated commit, so the queued
+  // MultiPut counts as a txn and request_ns covers the reads only.
+  repl::ReplOptions ro;
+  ro.groups = 2;
+  ro.replicas = 2;
+  ro.protocol = repl::ReplProtocol::kOneSidedRedo;
+  ro.workers_per_shard = 2;
+  ro.queue_capacity = 256;
+  ro.batch_max = 4;
+  ro.table_slots = 128;
+  ro.value_size = 16;
+  auto rsvc = repl::ReplicatedKvService::Create(ro);
+  ASSERT_TRUE(rsvc.ok()) << rsvc.status().ToString();
+  submit_mix(**rsvc);
+  ServeRequest multi;
+  multi.kind = RequestKind::kMultiPut;
+  multi.pairs = pairs;
+  ASSERT_TRUE((*rsvc)->Submit(std::move(multi)).ok());
+  (*rsvc)->Pump();
+
+  const repl::ReplStats rstats = (*rsvc)->Stats();
+  EXPECT_EQ(rstats.completed, 61u);
+  EXPECT_EQ(rstats.puts, 45u);
+  EXPECT_EQ(rstats.gets, 15u);
+  EXPECT_EQ(rstats.txns, 1u);
+  ExpectPublishedEqualsStats(**rsvc, rstats, "repl_");
+  const auto& rhist = (*rsvc)->metrics().histograms();
+  EXPECT_EQ(rhist.at("repl_request_ns").count(), rstats.gets);
+  EXPECT_EQ(rhist.at("repl_commit_ns").count(), 46u);
+  EXPECT_EQ((*rsvc)->metrics().counters().at("net_msgs_redo_write").load(),
+            (*rsvc)->fabric().MessagesSent(net::MsgKind::kRedoWrite))
+      << "fabric counters are stored, not added";
 }
 
 }  // namespace

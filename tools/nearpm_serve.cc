@@ -1,6 +1,7 @@
 // nearpm_serve: threaded smoke driver for the sharded KV serving layer.
 //
-// Spins up the service with real OS worker threads, pushes a deterministic
+// Spins up the service -- single-copy or replicated, both behind the one
+// serving front end -- with real OS worker threads, pushes a deterministic
 // request mix (puts, gets, periodic cross-shard MultiPuts) through the
 // bounded queues, then reports throughput, latency percentiles, queue
 // pressure and the PPO audit. Exit code is nonzero when the service made no
@@ -91,55 +92,45 @@ std::vector<std::uint8_t> ValueFor(std::uint64_t key, std::uint32_t size) {
   return value;
 }
 
-// Replicated smoke: the same deterministic request mix pushed through the
-// replicated serving tier (src/repl) with OS worker threads. Every write is
-// a replicated commit, so progress here exercises the fabric, both commit
-// protocols, and the cross-replica retire path end to end.
-int ReplServeMain(const CliOptions& cli) {
-  auto protocol = repl::ReplProtocolFromName(cli.protocol);
-  if (!protocol.ok()) {
-    std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
-    return 2;
+// The deterministic request mix both tiers serve: every Nth request a
+// 4-key MultiPut, every third a Get (half hit earlier puts, half miss), the
+// rest Puts.
+ServeRequest MakeRequest(std::uint64_t i, const CliOptions& cli,
+                         std::uint32_t value_size) {
+  ServeRequest req;
+  if (cli.multiput_every > 0 && i % cli.multiput_every == 0) {
+    req.kind = RequestKind::kMultiPut;
+    for (std::uint64_t j = 0; j < 4; ++j) {
+      const std::uint64_t key = 100000 + i + j * 31;
+      req.pairs.push_back(KvPair{key, ValueFor(key, value_size)});
+    }
+  } else if (i % 3 == 2) {
+    req.kind = RequestKind::kGet;
+    req.key = i / 2;
+  } else {
+    req.kind = RequestKind::kPut;
+    req.key = i;
+    req.value = ValueFor(i, value_size);
   }
-  repl::ReplOptions ro;
-  ro.groups = cli.shards;
-  ro.replicas = cli.replicas;
-  ro.protocol = *protocol;
-  ro.workers_per_shard = cli.workers;
-  ro.queue_capacity = cli.queue;
-  ro.batch_max = cli.batch;
-  auto svc = repl::ReplicatedKvService::Create(ro);
-  if (!svc.ok()) {
-    std::fprintf(stderr, "cannot create replicated service: %s\n",
-                 svc.status().ToString().c_str());
-    return 1;
-  }
+  return req;
+}
 
-  (*svc)->Start();
-  std::vector<std::future<serve::ServeResult>> futures;
+// Pushes the mix through the front end with OS worker threads, waits for
+// every completion and stops the workers. Returns the admissions rejected.
+std::uint64_t Drive(FrontEnd& svc, const CliOptions& cli,
+                    std::uint32_t value_size) {
+  svc.Start();
+  std::vector<std::future<ServeResult>> futures;
   futures.reserve(cli.requests);
   std::uint64_t rejected = 0;
   for (std::uint64_t i = 0; i < cli.requests; ++i) {
-    serve::ServeRequest req;
-    if (cli.multiput_every > 0 && i % cli.multiput_every == 0) {
-      req.kind = serve::RequestKind::kMultiPut;
-      for (std::uint64_t j = 0; j < 4; ++j) {
-        const std::uint64_t key = 100000 + i + j * 31;
-        req.pairs.push_back(
-            serve::KvPair{key, ValueFor(key, ro.value_size)});
-      }
-    } else if (i % 3 == 2) {
-      req.kind = serve::RequestKind::kGet;
-      req.key = i / 2;
-    } else {
-      req.kind = serve::RequestKind::kPut;
-      req.key = i;
-      req.value = ValueFor(i, ro.value_size);
-    }
+    const ServeRequest req = MakeRequest(i, cli, value_size);
+    // Backpressure loop: a full queue rejects immediately; yield to the
+    // workers and retry a few times before dropping the request.
     bool admitted = false;
     for (int attempt = 0; attempt < 1000 && !admitted; ++attempt) {
-      serve::ServeRequest copy = req;
-      auto fut = (*svc)->Submit(std::move(copy));
+      ServeRequest copy = req;
+      auto fut = svc.Submit(std::move(copy));
       if (fut.ok()) {
         futures.push_back(std::move(*fut));
         admitted = true;
@@ -150,30 +141,46 @@ int ReplServeMain(const CliOptions& cli) {
     }
   }
   for (auto& fut : futures) {
-    fut.get();
+    fut.get();  // Get misses are fine; only completion matters here
   }
-  (*svc)->Stop();
+  svc.Stop();
+  return rejected;
+}
 
+// Prints the report and writes --json-out and --metrics-out. `repl`
+// (replicated mode only) switches the topology line and keys and adds the
+// fabric and commit lines, their JSON keys and the zero-traffic check.
+int Report(FrontEnd& svc, const CliOptions& cli, const ServeStats& stats,
+           const repl::ReplStats* repl, std::uint64_t rejected) {
   std::string report;
-  const std::uint64_t violations = (*svc)->PpoViolations(&report);
-  const repl::ReplStats stats = (*svc)->Stats();
+  const std::uint64_t violations = svc.PpoViolations(&report);
 
-  std::printf("repl smoke: %d groups x %d replicas (%s) x %d workers, "
-              "batch_max=%d, queue=%zu\n",
-              cli.shards, cli.replicas, repl::ReplProtocolName(*protocol),
-              cli.workers, cli.batch, cli.queue);
+  if (repl != nullptr) {
+    std::printf("repl smoke: %d groups x %d replicas (%s) x %d workers, "
+                "batch_max=%d, queue=%zu\n",
+                cli.shards, cli.replicas, cli.protocol.c_str(), cli.workers,
+                cli.batch, cli.queue);
+  } else {
+    std::printf(
+        "serve smoke: %d shards x %d workers, batch_max=%d, queue=%zu\n",
+        cli.shards, cli.workers, cli.batch, cli.queue);
+  }
   std::printf("  submitted:  %" PRIu64 " (%" PRIu64 " rejected by admission)\n",
               cli.requests, rejected);
   std::printf("  completed:  %" PRIu64 " (%" PRIu64 " puts, %" PRIu64
               " gets, %" PRIu64 " txns, %" PRIu64 " batches)\n",
               stats.completed, stats.puts, stats.gets, stats.txns,
               stats.batches);
-  std::printf("  fabric:     %" PRIu64 " messages\n", stats.net_messages);
+  if (repl != nullptr) {
+    std::printf("  fabric:     %" PRIu64 " messages\n", repl->net_messages);
+  }
   std::printf("  makespan:   %" PRIu64 " simulated ns\n", stats.makespan_ns);
   std::printf("  latency:    p50=%" PRIu64 " ns, p99=%" PRIu64 " ns\n",
               stats.request_p50_ns, stats.request_p99_ns);
-  std::printf("  commit:     p50=%" PRIu64 " ns, p99=%" PRIu64 " ns\n",
-              stats.commit_p50_ns, stats.commit_p99_ns);
+  if (repl != nullptr) {
+    std::printf("  commit:     p50=%" PRIu64 " ns, p99=%" PRIu64 " ns\n",
+                repl->commit_p50_ns, repl->commit_p99_ns);
+  }
   std::printf("  throughput: %.0f ops/simulated-second\n",
               stats.throughput_ops_per_sec);
   std::printf("  PPO audit:  %" PRIu64 " violation(s)\n", violations);
@@ -183,23 +190,30 @@ int ReplServeMain(const CliOptions& cli) {
 
   if (!cli.json_out.empty()) {
     std::ofstream out(cli.json_out, std::ios::trunc);
-    out << "{\n"
-        << "  \"groups\": " << cli.shards << ",\n"
-        << "  \"replicas\": " << cli.replicas << ",\n"
-        << "  \"protocol\": \"" << repl::ReplProtocolName(*protocol)
-        << "\",\n"
-        << "  \"workers_per_shard\": " << cli.workers << ",\n"
+    out << "{\n";
+    if (repl != nullptr) {
+      out << "  \"groups\": " << cli.shards << ",\n"
+          << "  \"replicas\": " << cli.replicas << ",\n"
+          << "  \"protocol\": \"" << cli.protocol << "\",\n";
+    } else {
+      out << "  \"shards\": " << cli.shards << ",\n";
+    }
+    out << "  \"workers_per_shard\": " << cli.workers << ",\n"
         << "  \"completed\": " << stats.completed << ",\n"
         << "  \"rejected\": " << rejected << ",\n"
         << "  \"txns\": " << stats.txns << ",\n"
-        << "  \"batches\": " << stats.batches << ",\n"
-        << "  \"net_messages\": " << stats.net_messages << ",\n"
-        << "  \"makespan_ns\": " << stats.makespan_ns << ",\n"
+        << "  \"batches\": " << stats.batches << ",\n";
+    if (repl != nullptr) {
+      out << "  \"net_messages\": " << repl->net_messages << ",\n";
+    }
+    out << "  \"makespan_ns\": " << stats.makespan_ns << ",\n"
         << "  \"request_p50_ns\": " << stats.request_p50_ns << ",\n"
-        << "  \"request_p99_ns\": " << stats.request_p99_ns << ",\n"
-        << "  \"commit_p50_ns\": " << stats.commit_p50_ns << ",\n"
-        << "  \"commit_p99_ns\": " << stats.commit_p99_ns << ",\n"
-        << "  \"throughput_ops_per_sec\": " << stats.throughput_ops_per_sec
+        << "  \"request_p99_ns\": " << stats.request_p99_ns << ",\n";
+    if (repl != nullptr) {
+      out << "  \"commit_p50_ns\": " << repl->commit_p50_ns << ",\n"
+          << "  \"commit_p99_ns\": " << repl->commit_p99_ns << ",\n";
+    }
+    out << "  \"throughput_ops_per_sec\": " << stats.throughput_ops_per_sec
         << ",\n"
         << "  \"ppo_violations\": " << violations << "\n"
         << "}\n";
@@ -210,11 +224,14 @@ int ReplServeMain(const CliOptions& cli) {
   }
 
   if (!cli.metrics_out.empty()) {
-    (*svc)->ExportResourceMetrics();
+    // Fold every node's trace (and the fabric's) into per-resource gauges,
+    // then merge the node recorders' phase counters/histograms into one
+    // exposition.
+    svc.ExportResourceMetrics();
     MetricsRegistry merged;
-    merged.MergeFrom((*svc)->metrics());
-    for (int n = 0; n < (*svc)->num_nodes(); ++n) {
-      merged.MergeFrom((*svc)->node(n).recorder().metrics());
+    merged.MergeFrom(svc.metrics());
+    for (int n = 0; n < svc.num_nodes(); ++n) {
+      merged.MergeFrom(svc.node(n).recorder().metrics());
     }
     std::ofstream out(cli.metrics_out, std::ios::trunc);
     out << merged.ToPrometheus();
@@ -225,10 +242,11 @@ int ReplServeMain(const CliOptions& cli) {
   }
 
   if (stats.completed == 0 || stats.throughput_ops_per_sec <= 0) {
-    std::fprintf(stderr, "FAIL: the replicated service made no progress\n");
+    std::fprintf(stderr, "FAIL: the %s made no progress\n",
+                 repl != nullptr ? "replicated service" : "service");
     return 1;
   }
-  if (stats.net_messages == 0) {
+  if (repl != nullptr && repl->net_messages == 0) {
     std::fprintf(stderr, "FAIL: no replication traffic on the fabric\n");
     return 1;
   }
@@ -276,7 +294,30 @@ int ServeMain(int argc, char** argv) {
   }
 
   if (cli.replicas > 1) {
-    return ReplServeMain(cli);
+    // Replicated smoke: every write is a replicated commit, so progress
+    // exercises the fabric, the commit protocol and the cross-replica
+    // retire path end to end.
+    auto protocol = repl::ReplProtocolFromName(cli.protocol);
+    if (!protocol.ok()) {
+      std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
+      return 2;
+    }
+    repl::ReplOptions ro;
+    ro.groups = cli.shards;
+    ro.replicas = cli.replicas;
+    ro.protocol = *protocol;
+    ro.workers_per_shard = cli.workers;
+    ro.queue_capacity = cli.queue;
+    ro.batch_max = cli.batch;
+    auto svc = repl::ReplicatedKvService::Create(ro);
+    if (!svc.ok()) {
+      std::fprintf(stderr, "cannot create replicated service: %s\n",
+                   svc.status().ToString().c_str());
+      return 1;
+    }
+    const std::uint64_t rejected = Drive(**svc, cli, ro.value_size);
+    const repl::ReplStats stats = (*svc)->Stats();
+    return Report(**svc, cli, stats, &stats, rejected);
   }
 
   ServeOptions so;
@@ -290,117 +331,8 @@ int ServeMain(int argc, char** argv) {
                  svc.status().ToString().c_str());
     return 1;
   }
-
-  (*svc)->Start();
-  std::vector<std::future<ServeResult>> futures;
-  futures.reserve(cli.requests);
-  std::uint64_t rejected = 0;
-  for (std::uint64_t i = 0; i < cli.requests; ++i) {
-    ServeRequest req;
-    if (cli.multiput_every > 0 && i % cli.multiput_every == 0) {
-      req.kind = RequestKind::kMultiPut;
-      for (std::uint64_t j = 0; j < 4; ++j) {
-        const std::uint64_t key = 100000 + i + j * 31;
-        req.pairs.push_back(KvPair{key, ValueFor(key, so.value_size)});
-      }
-    } else if (i % 3 == 2) {
-      req.kind = RequestKind::kGet;
-      req.key = i / 2;  // half the gets hit earlier puts, half miss
-    } else {
-      req.kind = RequestKind::kPut;
-      req.key = i;
-      req.value = ValueFor(i, so.value_size);
-    }
-    // Backpressure loop: a full queue rejects immediately; yield to the
-    // workers and retry a few times before dropping the request.
-    bool admitted = false;
-    for (int attempt = 0; attempt < 1000 && !admitted; ++attempt) {
-      ServeRequest copy = req;
-      auto fut = (*svc)->Submit(std::move(copy));
-      if (fut.ok()) {
-        futures.push_back(std::move(*fut));
-        admitted = true;
-      } else {
-        ++rejected;
-        std::this_thread::yield();
-      }
-    }
-  }
-  for (auto& fut : futures) {
-    fut.get();  // Get misses are fine; only completion matters here
-  }
-  (*svc)->Stop();
-
-  std::string report;
-  const std::uint64_t violations = (*svc)->PpoViolations(&report);
-  const ServeStats stats = (*svc)->Stats();
-
-  std::printf("serve smoke: %d shards x %d workers, batch_max=%d, queue=%zu\n",
-              cli.shards, cli.workers, cli.batch, cli.queue);
-  std::printf("  submitted:  %" PRIu64 " (%" PRIu64 " rejected by admission)\n",
-              cli.requests, rejected);
-  std::printf("  completed:  %" PRIu64 " (%" PRIu64 " puts, %" PRIu64
-              " gets, %" PRIu64 " txns, %" PRIu64 " batches)\n",
-              stats.completed, stats.puts, stats.gets, stats.txns,
-              stats.batches);
-  std::printf("  makespan:   %" PRIu64 " simulated ns\n", stats.makespan_ns);
-  std::printf("  latency:    p50=%" PRIu64 " ns, p99=%" PRIu64 " ns\n",
-              stats.request_p50_ns, stats.request_p99_ns);
-  std::printf("  throughput: %.0f ops/simulated-second\n",
-              stats.throughput_ops_per_sec);
-  std::printf("  PPO audit:  %" PRIu64 " violation(s)\n", violations);
-  if (violations > 0) {
-    std::printf("%s", report.c_str());
-  }
-
-  if (!cli.json_out.empty()) {
-    std::ofstream out(cli.json_out, std::ios::trunc);
-    out << "{\n"
-        << "  \"shards\": " << cli.shards << ",\n"
-        << "  \"workers_per_shard\": " << cli.workers << ",\n"
-        << "  \"completed\": " << stats.completed << ",\n"
-        << "  \"rejected\": " << rejected << ",\n"
-        << "  \"txns\": " << stats.txns << ",\n"
-        << "  \"batches\": " << stats.batches << ",\n"
-        << "  \"makespan_ns\": " << stats.makespan_ns << ",\n"
-        << "  \"request_p50_ns\": " << stats.request_p50_ns << ",\n"
-        << "  \"request_p99_ns\": " << stats.request_p99_ns << ",\n"
-        << "  \"throughput_ops_per_sec\": " << stats.throughput_ops_per_sec
-        << ",\n"
-        << "  \"ppo_violations\": " << violations << "\n"
-        << "}\n";
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", cli.json_out.c_str());
-      return 1;
-    }
-  }
-
-  if (!cli.metrics_out.empty()) {
-    // Fold every shard's trace into per-resource gauges, then merge the
-    // shard recorders' phase counters/histograms into one exposition.
-    (*svc)->ExportResourceMetrics();
-    MetricsRegistry merged;
-    merged.MergeFrom((*svc)->metrics());
-    for (int s = 0; s < (*svc)->num_shards(); ++s) {
-      merged.MergeFrom((*svc)->shard(s).recorder().metrics());
-    }
-    std::ofstream out(cli.metrics_out, std::ios::trunc);
-    out << merged.ToPrometheus();
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", cli.metrics_out.c_str());
-      return 1;
-    }
-  }
-
-  if (stats.completed == 0 || stats.throughput_ops_per_sec <= 0) {
-    std::fprintf(stderr, "FAIL: the service made no progress\n");
-    return 1;
-  }
-  if (violations > 0) {
-    std::fprintf(stderr, "FAIL: PPO invariant violations\n");
-    return 1;
-  }
-  return 0;
+  const std::uint64_t rejected = Drive(**svc, cli, so.value_size);
+  return Report(**svc, cli, (*svc)->Stats(), nullptr, rejected);
 }
 
 }  // namespace
