@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace nearpm {
 namespace analyze {
 namespace {
@@ -11,40 +13,6 @@ namespace {
 // Folded findings are capped so a pathological run cannot grow the sink
 // without bound; occurrence counters keep counting past the cap.
 constexpr std::size_t kMaxFoldedDiagnostics = 4096;
-
-void AppendJsonEscaped(std::string* out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-std::string JsonString(std::string_view text) {
-  std::string out = "\"";
-  AppendJsonEscaped(&out, text);
-  out += '"';
-  return out;
-}
 
 }  // namespace
 
@@ -154,12 +122,12 @@ std::string DiagnosticSink::RenderJson() const {
   for (std::size_t i = 0; i < diags_.size(); ++i) {
     const Diagnostic& d = diags_[i];
     out += "    {\"rule\": ";
-    out += JsonString(RuleIdString(d.rule));
+    out += JsonQuote(RuleIdString(d.rule));
     out += ", \"file\": ";
-    out += JsonString(TrimSourcePath(d.loc.file));
+    out += JsonQuote(TrimSourcePath(d.loc.file));
     out += ", \"line\": " + std::to_string(d.loc.line);
     out += ", \"function\": ";
-    out += JsonString(d.loc.function);
+    out += JsonQuote(d.loc.function);
     out += ", \"tid\": " + std::to_string(d.tid);
     out += ", \"when_ns\": " + std::to_string(d.when);
     out += ", \"range\": [" + std::to_string(d.range.begin) + ", " +
@@ -168,21 +136,21 @@ std::string DiagnosticSink::RenderJson() const {
     out += std::string(", \"suppressed\": ") +
            (d.suppressed ? "true" : "false");
     out += ", \"message\": ";
-    out += JsonString(d.message);
+    out += JsonQuote(d.message);
     out += i + 1 < diags_.size() ? "},\n" : "}\n";
   }
   out += "  ],\n  \"counts\": {";
   for (int i = 0; i < kNumRules; ++i) {
     const auto rule = static_cast<RuleId>(i);
     if (i > 0) out += ", ";
-    out += JsonString(RuleIdString(rule));
+    out += JsonQuote(RuleIdString(rule));
     out += ": " + std::to_string(count(rule));
   }
   out += "},\n  \"suppressed_counts\": {";
   for (int i = 0; i < kNumRules; ++i) {
     const auto rule = static_cast<RuleId>(i);
     if (i > 0) out += ", ";
-    out += JsonString(RuleIdString(rule));
+    out += JsonQuote(RuleIdString(rule));
     out += ": " + std::to_string(suppressed_count(rule));
   }
   out += "},\n  \"total_unsuppressed\": " +
@@ -210,13 +178,13 @@ std::string DiagnosticSink::RenderSarif() const {
   for (int i = 0; i < kNumRules; ++i) {
     const RuleInfo& info = RuleOf(static_cast<RuleId>(i));
     out += "            {\"id\": ";
-    out += JsonString(info.id);
+    out += JsonQuote(info.id);
     out += ", \"name\": ";
-    out += JsonString(info.name);
+    out += JsonQuote(info.name);
     out += ", \"shortDescription\": {\"text\": ";
-    out += JsonString(info.summary);
+    out += JsonQuote(info.summary);
     out += "}, \"defaultConfiguration\": {\"level\": ";
-    out += JsonString(info.level);
+    out += JsonQuote(info.level);
     out += i + 1 < kNumRules ? "}},\n" : "}}\n";
   }
   out +=
@@ -228,16 +196,16 @@ std::string DiagnosticSink::RenderSarif() const {
     const Diagnostic& d = diags_[i];
     const RuleInfo& info = RuleOf(d.rule);
     out += "        {\"ruleId\": ";
-    out += JsonString(info.id);
+    out += JsonQuote(info.id);
     out += ", \"ruleIndex\": " +
            std::to_string(static_cast<std::size_t>(d.rule));
     out += ", \"level\": ";
-    out += JsonString(info.level);
+    out += JsonQuote(info.level);
     out += ", \"message\": {\"text\": ";
-    out += JsonString(d.message);
+    out += JsonQuote(d.message);
     out += "}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": "
            "{\"uri\": ";
-    out += JsonString(TrimSourcePath(d.loc.file));
+    out += JsonQuote(TrimSourcePath(d.loc.file));
     out += "}, \"region\": {\"startLine\": " +
            std::to_string(d.loc.line == 0 ? 1 : d.loc.line);
     out += "}}}]";

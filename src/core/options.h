@@ -3,7 +3,10 @@
 #define SRC_CORE_OPTIONS_H_
 
 #include <cstdint>
+#include <string>
 
+#include "src/common/name_table.h"
+#include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/hwmodel/hw_config.h"
 
@@ -17,7 +20,11 @@ enum class ExecMode : std::uint8_t {
   kNdpMultiDelayed,  // two devices, PPO delayed synchronization
 };
 
+// The canonical names: "baseline", "nearpm_sd", "nearpm_md_swsync",
+// "nearpm_md".
+const NameTable<ExecMode>& ExecModeNames();
 const char* ExecModeName(ExecMode mode);
+StatusOr<ExecMode> ExecModeFromName(const std::string& name);
 
 struct RuntimeOptions {
   ExecMode mode = ExecMode::kNdpMultiDelayed;

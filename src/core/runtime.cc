@@ -7,18 +7,22 @@
 
 namespace nearpm {
 
-const char* ExecModeName(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kCpuBaseline:
-      return "baseline";
-    case ExecMode::kNdpSingleDevice:
-      return "nearpm_sd";
-    case ExecMode::kNdpMultiSwSync:
-      return "nearpm_md_swsync";
-    case ExecMode::kNdpMultiDelayed:
-      return "nearpm_md";
+const NameTable<ExecMode>& ExecModeNames() {
+  static const NameTable<ExecMode> table{
+      {ExecMode::kCpuBaseline, "baseline"},
+      {ExecMode::kNdpSingleDevice, "nearpm_sd"},
+      {ExecMode::kNdpMultiSwSync, "nearpm_md_swsync"},
+      {ExecMode::kNdpMultiDelayed, "nearpm_md"}};
+  return table;
+}
+
+const char* ExecModeName(ExecMode mode) { return ExecModeNames().Name(mode); }
+
+StatusOr<ExecMode> ExecModeFromName(const std::string& name) {
+  if (const auto mode = ExecModeNames().Parse(name)) {
+    return *mode;
   }
-  return "?";
+  return InvalidArgument("unknown execution mode \"" + name + "\"");
 }
 
 namespace {

@@ -15,6 +15,13 @@ namespace nearpm {
 namespace fuzz {
 namespace {
 
+// Fixed machine and ledger shape: every committed repro was recorded with
+// these, so they are constants rather than configuration.
+constexpr std::uint64_t kPmSize = 16ull << 20;
+constexpr std::uint64_t kDataSize = 256ull << 10;
+constexpr int kAccounts = 8;
+constexpr int kCkptEpochOps = 4;
+
 constexpr std::uint64_t kInitialBalance = 1000;
 constexpr std::uint64_t kAccountStride = 2048;  // spans the interleave stripes
 constexpr std::uint64_t kBlobSize = 4096;       // big enough for in-flight DMA
@@ -31,7 +38,7 @@ struct Op {
   std::uint8_t fill = 0;
 };
 
-std::vector<Op> DeriveOps(std::uint64_t seed, std::uint64_t n, int accounts) {
+std::vector<Op> DeriveOps(std::uint64_t seed, std::uint64_t n) {
   Rng r(seed * 0x9E3779B97F4A7C15ull + 0xD1B54A32D192ED03ull);
   std::vector<Op> ops;
   ops.reserve(n);
@@ -43,10 +50,10 @@ std::vector<Op> DeriveOps(std::uint64_t seed, std::uint64_t n, int accounts) {
       // (including "never written") is distinguishable.
       op.fill = static_cast<std::uint8_t>(1 + r.NextBounded(255));
     } else {
-      op.from = static_cast<int>(r.NextBounded(accounts));
+      op.from = static_cast<int>(r.NextBounded(kAccounts));
       op.to = (op.from + 1 +
-               static_cast<int>(r.NextBounded(accounts - 1))) %
-              accounts;
+               static_cast<int>(r.NextBounded(kAccounts - 1))) %
+              kAccounts;
       op.amount = r.Next() % 1000;
     }
     ops.push_back(op);
@@ -106,14 +113,13 @@ std::vector<SimTime> Subsample(std::vector<SimTime> values, std::size_t keep) {
 }
 
 // Maps a non-OK harness status (setup or op execution, not an oracle) onto
-// the result. Harness failures are reported as kRecoverError with a
-// "harness:" detail prefix: they mean the engine, not the machine, broke.
+// the result: the engine, not the machine, broke.
 bool HarnessOk(const Status& s, const char* what, CaseResult* result) {
   if (s.ok()) {
     return true;
   }
-  result->failure = FailureKind::kRecoverError;
-  result->detail = std::string("harness: ") + what + ": " + s.ToString();
+  *result = Fail(FailureKind::kHarness,
+                 std::string("harness: ") + what + ": " + s.ToString());
   return false;
 }
 
@@ -124,24 +130,6 @@ std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t case_index) {
 }
 
 }  // namespace
-
-const char* FailureKindName(FailureKind kind) {
-  switch (kind) {
-    case FailureKind::kNone:
-      return "none";
-    case FailureKind::kRecoverError:
-      return "recover_error";
-    case FailureKind::kStateMismatch:
-      return "state_mismatch";
-    case FailureKind::kUncommittedDurable:
-      return "uncommitted_durable";
-    case FailureKind::kPostRecoveryMismatch:
-      return "post_recovery_mismatch";
-    case FailureKind::kPpoViolation:
-      return "ppo_violation";
-  }
-  return "unknown";
-}
 
 struct CrashFuzzer::Env {
   std::unique_ptr<TraceRecorder> recorder;
@@ -154,15 +142,15 @@ struct CrashFuzzer::Env {
   PmAddr AccountAddr(int i) const {
     return heap->root() + static_cast<PmAddr>(i) * kAccountStride;
   }
-  PmAddr BlobAddr(int accounts) const {
-    return heap->root() + static_cast<PmAddr>(accounts) * kAccountStride;
+  PmAddr BlobAddr() const {
+    return heap->root() + static_cast<PmAddr>(kAccounts) * kAccountStride;
   }
 
-  Status RunOp(const Op& op, int accounts, bool commit) {
+  Status RunOp(const Op& op, bool commit) {
     NEARPM_RETURN_IF_ERROR(heap->BeginOp(0));
     if (op.blob) {
       std::vector<std::uint8_t> bytes(kBlobSize, op.fill);
-      NEARPM_RETURN_IF_ERROR(heap->Write(0, BlobAddr(accounts), bytes));
+      NEARPM_RETURN_IF_ERROR(heap->Write(0, BlobAddr(), bytes));
     } else {
       auto a = heap->Load<std::uint64_t>(0, AccountAddr(op.from));
       if (!a.ok()) {
@@ -184,10 +172,10 @@ struct CrashFuzzer::Env {
     return heap->CommitOp(0);
   }
 
-  StatusOr<ModelState> ReadState(int accounts) {
+  StatusOr<ModelState> ReadState() {
     ModelState s;
-    s.balances.resize(accounts);
-    for (int i = 0; i < accounts; ++i) {
+    s.balances.resize(kAccounts);
+    for (int i = 0; i < kAccounts; ++i) {
       auto v = heap->Load<std::uint64_t>(0, AccountAddr(i));
       if (!v.ok()) {
         return v.status();
@@ -195,7 +183,7 @@ struct CrashFuzzer::Env {
       s.balances[i] = *v;
     }
     std::vector<std::uint8_t> blob(kBlobSize);
-    NEARPM_RETURN_IF_ERROR(heap->Read(0, BlobAddr(accounts), blob));
+    NEARPM_RETURN_IF_ERROR(heap->Read(0, BlobAddr(), blob));
     s.blob_fill = blob[0];
     for (std::uint8_t b : blob) {
       if (b != blob[0]) {
@@ -211,7 +199,7 @@ bool CrashFuzzer::ExecutePrefix(const FuzzCase& c, Env* env,
                                 CaseResult* result) const {
   RuntimeOptions opts;
   opts.mode = config_.mode;
-  opts.pm_size = config_.pm_size;
+  opts.pm_size = kPmSize;
   opts.enforce_ppo = config_.enforce_ppo;
   opts.skip_recovery_replay = config_.break_recovery;
   env->recorder = std::make_unique<TraceRecorder>();
@@ -224,8 +212,8 @@ bool CrashFuzzer::ExecutePrefix(const FuzzCase& c, Env* env,
   PoolArena arena(0);
   HeapOptions ho;
   ho.mechanism = config_.mechanism;
-  ho.data_size = config_.data_size;
-  ho.ckpt_epoch_ops = config_.ckpt_epoch_ops;
+  ho.data_size = kDataSize;
+  ho.ckpt_epoch_ops = kCkptEpochOps;
   auto heap = PersistentHeap::Create(*env->rt, arena, ho);
   if (!heap.ok()) {
     return HarnessOk(heap.status(), "heap create", result);
@@ -234,7 +222,7 @@ bool CrashFuzzer::ExecutePrefix(const FuzzCase& c, Env* env,
 
   // Mint: one committed op giving every account its initial balance.
   Status mint = env->heap->BeginOp(0);
-  for (int i = 0; mint.ok() && i < config_.accounts; ++i) {
+  for (int i = 0; mint.ok() && i < kAccounts; ++i) {
     mint = env->heap->Store<std::uint64_t>(0, env->AccountAddr(i),
                                            kInitialBalance);
   }
@@ -247,15 +235,15 @@ bool CrashFuzzer::ExecutePrefix(const FuzzCase& c, Env* env,
   env->rt->DrainDevices(0);
 
   ModelState initial;
-  initial.balances.assign(config_.accounts, kInitialBalance);
+  initial.balances.assign(kAccounts, kInitialBalance);
   initial.blob_fill = 0;  // the pool starts zeroed
   env->ref.push_back(initial);
 
-  env->ops = DeriveOps(c.seed, c.total_ops, config_.accounts);
+  env->ops = DeriveOps(c.seed, c.total_ops);
   for (std::uint64_t step = 0; step <= c.crash_step; ++step) {
     const bool last = step == c.crash_step;
     const bool commit = !(last && c.mid_op);
-    if (!HarnessOk(env->RunOp(env->ops[step], config_.accounts, commit),
+    if (!HarnessOk(env->RunOp(env->ops[step], commit),
                    "workload op", result)) {
       return false;
     }
@@ -284,19 +272,19 @@ ProbeResult CrashFuzzer::Probe(const FuzzCase& c) const {
   return out;
 }
 
-CaseResult CrashFuzzer::Run(const FuzzCase& c) const {
+CaseResult CrashFuzzer::Run(const FuzzCase& c,
+                            RecoveredPrefix* recovered) const {
   Env env;
   CaseResult result;
   if (!ExecutePrefix(c, &env, &result)) {
     return result;
   }
-  return RunOracles(c, &env);
+  return RunOracles(c, &env, recovered);
 }
 
-CaseResult CrashFuzzer::RunOracles(const FuzzCase& c, Env* env) const {
+CaseResult CrashFuzzer::RunOracles(const FuzzCase& c, Env* env,
+                                   RecoveredPrefix* recovered) const {
   CaseResult result;
-  result.committed = env->committed;
-
   CrashPlan plan;
   plan.crash_time = c.crash_time;  // 0 clamps to "now" inside InjectCrashAt
   plan.line_survival = c.line_survival;
@@ -306,23 +294,22 @@ CaseResult CrashFuzzer::RunOracles(const FuzzCase& c, Env* env) const {
   // Oracle 1: recovery must succeed.
   Status rec = env->heap->Recover();
   if (!rec.ok()) {
-    result.failure = FailureKind::kRecoverError;
-    result.detail = rec.ToString();
-    return result;
+    return Fail(FailureKind::kRecoverError, rec.ToString());
   }
 
   // Oracle 2: the recovered state equals the reference state after some
   // prefix of the committed operations.
-  auto got = env->ReadState(config_.accounts);
+  auto got = env->ReadState();
   if (!HarnessOk(got.status(), "read recovered state", &result)) {
     return result;
   }
   bool matched = false;
   ModelState matched_state;
+  std::uint64_t matched_prefix = 0;
   for (std::uint64_t k = env->committed + 1; k-- > 0;) {
     if (*got == env->ref[k]) {
-      result.matched_prefix = k;
       matched_state = env->ref[k];
+      matched_prefix = k;
       matched = true;
       break;
     }
@@ -332,10 +319,9 @@ CaseResult CrashFuzzer::RunOracles(const FuzzCase& c, Env* env) const {
     // sits in a still-open epoch until ckpt_epoch_ops commits have passed:
     // rolling back to the pristine pool is a legal recovery target.
     ModelState genesis;
-    genesis.balances.assign(config_.accounts, 0);
+    genesis.balances.assign(kAccounts, 0);
     genesis.blob_fill = 0;
     if (*got == genesis) {
-      result.matched_prefix = 0;
       matched_state = genesis;
       matched = true;
     }
@@ -348,19 +334,20 @@ CaseResult CrashFuzzer::RunOracles(const FuzzCase& c, Env* env) const {
         // The op the power interrupted is durable in full although it never
         // committed -- its log/shadow vanished with the crash. This is the
         // Section 2.3 lost-recovery-data symptom.
-        result.failure = FailureKind::kUncommittedDurable;
-        result.detail =
-            "uncommitted op " + std::to_string(c.crash_step) +
-            " is fully durable after recovery: " + DescribeState(*got);
-        return result;
+        return Fail(FailureKind::kUncommittedDurable,
+                    "uncommitted op " + std::to_string(c.crash_step) +
+                        " is fully durable after recovery: " +
+                        DescribeState(*got));
       }
     }
-    result.failure = FailureKind::kStateMismatch;
-    result.detail = "recovered state matches no committed prefix (committed=" +
+    return Fail(FailureKind::kStateMismatch,
+                "recovered state matches no committed prefix (committed=" +
                     std::to_string(env->committed) +
                     "): " + DescribeState(*got) +
-                    "; last committed: " + DescribeState(env->ref.back());
-    return result;
+                    "; last committed: " + DescribeState(env->ref.back()));
+  }
+  if (recovered != nullptr) {
+    *recovered = RecoveredPrefix{env->committed, matched_prefix};
   }
 
   // Without PPO the machine makes no ordering promises, before or after the
@@ -375,44 +362,40 @@ CaseResult CrashFuzzer::RunOracles(const FuzzCase& c, Env* env) const {
   Rng post(c.seed ^ 0xA5EED5EED5EEDull);
   for (int i = 0; i < 5; ++i) {
     Op op;
-    op.from = static_cast<int>(post.NextBounded(config_.accounts));
+    op.from = static_cast<int>(post.NextBounded(kAccounts));
     op.to = (op.from + 1 +
-             static_cast<int>(post.NextBounded(config_.accounts - 1))) %
-            config_.accounts;
+             static_cast<int>(post.NextBounded(kAccounts - 1))) %
+            kAccounts;
     op.amount = post.Next() % 500;
-    if (!HarnessOk(env->RunOp(op, config_.accounts, /*commit=*/true),
+    if (!HarnessOk(env->RunOp(op, /*commit=*/true),
                    "post-recovery op", &result)) {
       return result;
     }
     ApplyOp(&model, op);
   }
   env->rt->DrainDevices(0);
-  auto after = env->ReadState(config_.accounts);
+  auto after = env->ReadState();
   if (!HarnessOk(after.status(), "read post-recovery state", &result)) {
     return result;
   }
   if (!(*after == model)) {
-    result.failure = FailureKind::kPostRecoveryMismatch;
-    result.detail = "post-recovery divergence: " + DescribeState(*after) +
-                    "; model: " + DescribeState(model);
-    return result;
+    return Fail(FailureKind::kPostRecoveryMismatch,
+                "post-recovery divergence: " + DescribeState(*after) +
+                    "; model: " + DescribeState(model));
   }
 
   // Oracle 4: the full trace (pre-crash epoch and recovery epoch) satisfies
   // the Section 4 PPO invariants.
   const auto violations = PpoChecker{}.Check(*env->recorder);
   if (!violations.empty()) {
-    result.failure = FailureKind::kPpoViolation;
-    result.detail = PpoChecker::Report(violations);
-    return result;
+    return Fail(FailureKind::kPpoViolation, PpoChecker::Report(violations));
   }
   return result;
 }
 
-SweepStats CrashFuzzer::Systematic(std::uint64_t seed, std::uint64_t ops,
-                                   std::size_t max_candidates,
-                                   std::vector<FuzzFailure>* failures) const {
-  SweepStats stats;
+std::vector<FuzzCase> CrashFuzzer::SystematicCases(
+    std::uint64_t seed, std::uint64_t ops, std::size_t max_candidates) const {
+  std::vector<FuzzCase> cases;
   for (std::uint64_t step = 0; step < ops; ++step) {
     for (const bool mid : {false, true}) {
       FuzzCase base;
@@ -431,19 +414,19 @@ SweepStats CrashFuzzer::Systematic(std::uint64_t seed, std::uint64_t ops,
           FuzzCase c = base;
           c.crash_time = t;
           c.line_survival.assign(probe.pending_lines, survive);
-          const CaseResult r = Run(c);
-          ++stats.cases;
-          if (!r.ok()) {
-            ++stats.failures;
-            if (failures != nullptr) {
-              failures->push_back(FuzzFailure{c, r});
-            }
-          }
+          cases.push_back(std::move(c));
         }
       }
     }
   }
-  return stats;
+  return cases;
+}
+
+SweepStats CrashFuzzer::Systematic(
+    std::uint64_t seed, std::uint64_t ops, std::size_t max_candidates,
+    std::vector<Failure<FuzzCase>>* failures) const {
+  return Sweep(SystematicCases(seed, ops, max_candidates),
+               [this](const FuzzCase& c) { return Run(c); }, failures);
 }
 
 FuzzCase CrashFuzzer::BuildSweepCase(std::uint64_t seed,
@@ -465,25 +448,16 @@ FuzzCase CrashFuzzer::BuildSweepCase(std::uint64_t seed,
   return c;
 }
 
-SweepStats CrashFuzzer::RandomSweep(std::uint64_t first_seed,
-                                    std::uint64_t num_seeds,
-                                    int cases_per_seed,
-                                    std::vector<FuzzFailure>* failures) const {
-  SweepStats stats;
+SweepStats CrashFuzzer::RandomSweep(
+    std::uint64_t first_seed, std::uint64_t num_seeds, int cases_per_seed,
+    std::vector<Failure<FuzzCase>>* failures) const {
+  std::vector<FuzzCase> cases;
   for (std::uint64_t s = first_seed; s < first_seed + num_seeds; ++s) {
     for (int i = 0; i < cases_per_seed; ++i) {
-      const FuzzCase c = BuildSweepCase(s, static_cast<std::uint64_t>(i));
-      const CaseResult r = Run(c);
-      ++stats.cases;
-      if (!r.ok()) {
-        ++stats.failures;
-        if (failures != nullptr) {
-          failures->push_back(FuzzFailure{c, r});
-        }
-      }
+      cases.push_back(BuildSweepCase(s, static_cast<std::uint64_t>(i)));
     }
   }
-  return stats;
+  return Sweep(cases, [this](const FuzzCase& c) { return Run(c); }, failures);
 }
 
 FuzzCase CrashFuzzer::Shrink(const FuzzCase& failing,
@@ -588,46 +562,74 @@ FuzzCase CrashFuzzer::Shrink(const FuzzCase& failing,
 
 CrashRepro CrashFuzzer::ToRepro(const FuzzCase& c, const std::string& expect,
                                 const std::string& note) const {
-  CrashRepro r;
-  r.mechanism = config_.mechanism;
-  r.mode = config_.mode;
-  r.enforce_ppo = config_.enforce_ppo;
-  r.break_recovery = config_.break_recovery;
-  r.seed = c.seed;
-  r.total_ops = c.total_ops;
-  r.crash_step = c.crash_step;
-  r.mid_op = c.mid_op;
-  r.crash_time = c.crash_time;
-  r.line_survival.reserve(c.line_survival.size());
-  for (const bool bit : c.line_survival) {
-    r.line_survival.push_back(bit ? '1' : '0');
-  }
-  r.expect = expect;
-  r.note = note;
-  return r;
+  return MakeRepro(BankRepro::kKind, std::make_shared<BankRepro>(config_, c),
+                   config_, config_.mechanism, c.seed, expect, note);
 }
 
-FuzzConfig CrashFuzzer::ConfigFromRepro(const CrashRepro& repro) {
-  FuzzConfig config;
-  config.mechanism = repro.mechanism;
-  config.mode = repro.mode;
-  config.enforce_ppo = repro.enforce_ppo;
-  config.break_recovery = repro.break_recovery;
-  return config;
+void BankRepro::Fields(std::vector<JsonField>* fields) {
+  JsonField survival;
+  survival.key = "line_survival";
+  survival.read = [this](const JsonValue& v) -> Status {
+    if (v.kind != JsonValue::Kind::kString ||
+        v.str.find_first_not_of("01") != std::string::npos) {
+      return InvalidArgument("must be a string of 0s and 1s");
+    }
+    fuzz_case.line_survival.clear();
+    for (const char bit : v.str) {
+      fuzz_case.line_survival.push_back(bit == '1');
+    }
+    return Status::Ok();
+  };
+  survival.write = [this]() -> std::optional<JsonValue> {
+    std::string bits;
+    for (const bool bit : fuzz_case.line_survival) {
+      bits.push_back(bit ? '1' : '0');
+    }
+    return JsonValue::String(bits);
+  };
+  fields->push_back(UintField("total_ops", &fuzz_case.total_ops));
+  fields->push_back(UintField("crash_step", &fuzz_case.crash_step));
+  fields->push_back(BoolField("mid_op", &fuzz_case.mid_op));
+  fields->push_back(UintField("crash_time", &fuzz_case.crash_time));
+  fields->push_back(std::move(survival));
 }
 
-FuzzCase CrashFuzzer::CaseFromRepro(const CrashRepro& repro) {
-  FuzzCase c;
-  c.seed = repro.seed;
-  c.total_ops = repro.total_ops;
-  c.crash_step = repro.crash_step;
-  c.mid_op = repro.mid_op;
-  c.crash_time = repro.crash_time;
-  c.line_survival.reserve(repro.line_survival.size());
-  for (const char bit : repro.line_survival) {
-    c.line_survival.push_back(bit == '1');
+Status BankRepro::Bind(const ReproHeader& header) {
+  config.mechanism = header.mechanism;
+  config.mode = header.mode;
+  config.enforce_ppo = header.enforce_ppo;
+  config.break_recovery = header.break_recovery;
+  fuzz_case.seed = header.seed;
+  if (fuzz_case.total_ops == 0 ||
+      fuzz_case.crash_step >= fuzz_case.total_ops) {
+    return InvalidArgument("crash_step must lie inside total_ops");
   }
-  return c;
+  return Status::Ok();
+}
+
+CaseResult BankRepro::Run(analyze::PmSanitizer* sanitizer) const {
+  FuzzConfig live = config;
+  live.sanitizer = sanitizer;
+  return CrashFuzzer(live).Run(fuzz_case);
+}
+
+std::string BankRepro::FileName() const {
+  std::string name = "fuzz_";
+  name += MechanismName(config.mechanism);
+  name += "_";
+  name += ExecModeName(config.mode);
+  if (!config.enforce_ppo) {
+    name += "_noppo";
+  }
+  if (config.break_recovery) {
+    name += "_brokenrec";
+  }
+  name += "_s" + std::to_string(fuzz_case.seed);
+  name += "_op" + std::to_string(fuzz_case.crash_step);
+  name += fuzz_case.mid_op ? "m" : "c";
+  name += "_t" + std::to_string(fuzz_case.crash_time);
+  name += ".json";
+  return name;
 }
 
 }  // namespace fuzz

@@ -21,7 +21,9 @@
 // failure replays bit-for-bit and shrinks to a minimal corpus repro.
 // Systematic mode enumerates the failure instants after every
 // persist-relevant trace event (EnumerateCrashPoints); sweep mode samples
-// schedules from a 64-bit seed.
+// schedules from a 64-bit seed. Both are case generators for the engine's
+// one sweep loop (engine.h); the repro keys of a bank case are declared in
+// BankRepro.
 #ifndef SRC_FUZZ_CRASH_FUZZER_H_
 #define SRC_FUZZ_CRASH_FUZZER_H_
 
@@ -29,33 +31,16 @@
 #include <string>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/core/options.h"
-#include "src/fuzz/corpus.h"
+#include "src/fuzz/engine.h"
+#include "src/fuzz/repro.h"
 #include "src/pmlib/provider.h"
 
 namespace nearpm {
-
-namespace analyze {
-class PmSanitizer;
-}  // namespace analyze
-
 namespace fuzz {
 
-struct FuzzConfig {
+struct FuzzConfig : ScenarioConfig {
   Mechanism mechanism = Mechanism::kLogging;
-  ExecMode mode = ExecMode::kNdpMultiDelayed;
-  bool enforce_ppo = true;
-  // Fault injection: run with the deliberately broken hardware recovery
-  // (RuntimeOptions::skip_recovery_replay). The fuzzer must catch this.
-  bool break_recovery = false;
-  std::uint64_t pm_size = 16ull << 20;
-  std::uint64_t data_size = 256ull << 10;
-  int accounts = 8;
-  int ckpt_epoch_ops = 4;
-  // Optional PM-Sanitizer attached to every replayed environment, so corpus
-  // repros and fuzz sweeps run under the eager persistency-bug analyzer.
-  analyze::PmSanitizer* sanitizer = nullptr;
 };
 
 // One fully deterministic crash schedule (see file comment).
@@ -68,25 +53,12 @@ struct FuzzCase {
   std::vector<bool> line_survival;
 };
 
-enum class FailureKind : std::uint8_t {
-  kNone = 0,
-  kRecoverError,          // PersistentHeap::Recover returned an error
-  kStateMismatch,         // recovered state matches no committed prefix
-  kUncommittedDurable,    // the uncommitted crash op survived whole (§2.3)
-  kPostRecoveryMismatch,  // recovered heap diverges from the model afterwards
-  kPpoViolation,          // trace violates a Section 4 invariant
-};
-
-const char* FailureKindName(FailureKind kind);
-
-struct CaseResult {
-  FailureKind failure = FailureKind::kNone;
-  std::string detail;
-  // Committed prefix length the recovered state matched (valid on success).
-  std::uint64_t matched_prefix = 0;
+// Where recovery landed: the committed-op count at the crash and the
+// committed prefix the recovered state equals (0 is also the pristine pool
+// a checkpointing recovery may roll back to).
+struct RecoveredPrefix {
   std::uint64_t committed = 0;
-
-  bool ok() const { return failure == FailureKind::kNone; }
+  std::uint64_t matched = 0;
 };
 
 // Prefix probe: candidate failure instants and the pending-line count at
@@ -94,16 +66,6 @@ struct CaseResult {
 struct ProbeResult {
   std::vector<std::uint64_t> candidates;
   std::uint64_t pending_lines = 0;
-};
-
-struct SweepStats {
-  std::uint64_t cases = 0;
-  std::uint64_t failures = 0;
-};
-
-struct FuzzFailure {
-  FuzzCase fuzz_case;
-  CaseResult result;
 };
 
 class CrashFuzzer {
@@ -116,16 +78,20 @@ class CrashFuzzer {
   // candidates reachable from it.
   ProbeResult Probe(const FuzzCase& c) const;
 
-  // Executes the case end to end (prefix, crash, recovery, oracles).
-  CaseResult Run(const FuzzCase& c) const;
+  // Executes the case end to end (prefix, crash, recovery, oracles). When
+  // recovery reaches a committed prefix, `recovered` (if non-null) gets it.
+  CaseResult Run(const FuzzCase& c,
+                 RecoveredPrefix* recovered = nullptr) const;
 
   // Exhaustive sweep of one schedule: every crash step, committed and
   // mid-op, every enumerated failure instant (capped at `max_candidates`
   // per point, evenly subsampled), under the all-drop and all-survive
-  // masks. Appends failures to `failures` when non-null.
+  // masks.
+  std::vector<FuzzCase> SystematicCases(std::uint64_t seed, std::uint64_t ops,
+                                        std::size_t max_candidates) const;
   SweepStats Systematic(std::uint64_t seed, std::uint64_t ops,
                         std::size_t max_candidates,
-                        std::vector<FuzzFailure>* failures) const;
+                        std::vector<Failure<FuzzCase>>* failures) const;
 
   // Randomized deep sweep: `cases_per_seed` schedules per seed in
   // [first_seed, first_seed + num_seeds), with random crash instants and
@@ -133,7 +99,7 @@ class CrashFuzzer {
   // BuildSweepCase(s, i).
   SweepStats RandomSweep(std::uint64_t first_seed, std::uint64_t num_seeds,
                          int cases_per_seed,
-                         std::vector<FuzzFailure>* failures) const;
+                         std::vector<Failure<FuzzCase>>* failures) const;
 
   // The deterministic derivation RandomSweep uses (exposed for --replay).
   FuzzCase BuildSweepCase(std::uint64_t seed, std::uint64_t case_index) const;
@@ -144,12 +110,8 @@ class CrashFuzzer {
   // verdict.
   FuzzCase Shrink(const FuzzCase& failing, CaseResult* result) const;
 
-  // Corpus glue: a repro pins the config fields that matter alongside the
-  // schedule, so a corpus file replays under the right mechanism/mode.
   CrashRepro ToRepro(const FuzzCase& c, const std::string& expect,
                      const std::string& note) const;
-  static FuzzConfig ConfigFromRepro(const CrashRepro& repro);
-  static FuzzCase CaseFromRepro(const CrashRepro& repro);
 
  private:
   struct Env;
@@ -157,9 +119,30 @@ class CrashFuzzer {
   // Runs mint + the schedule prefix of `c` inside a fresh simulated
   // machine. Returns false (with result filled) on harness errors.
   bool ExecutePrefix(const FuzzCase& c, Env* env, CaseResult* result) const;
-  CaseResult RunOracles(const FuzzCase& c, Env* env) const;
+  CaseResult RunOracles(const FuzzCase& c, Env* env,
+                        RecoveredPrefix* recovered) const;
 
   FuzzConfig config_;
+};
+
+// The bank half of a repro: the schedule keys (total_ops, crash_step,
+// mid_op, crash_time, line_survival); mechanism, mode, enforce_ppo,
+// break_recovery and seed come from the header.
+class BankRepro final : public ScenarioRepro {
+ public:
+  static constexpr const char* kKind = "bank";
+
+  BankRepro() = default;
+  BankRepro(const FuzzConfig& cfg, const FuzzCase& c)
+      : config(cfg), fuzz_case(c) {}
+
+  void Fields(std::vector<JsonField>* fields) override;
+  Status Bind(const ReproHeader& header) override;
+  CaseResult Run(analyze::PmSanitizer* sanitizer) const override;
+  std::string FileName() const override;
+
+  FuzzConfig config;
+  FuzzCase fuzz_case;
 };
 
 }  // namespace fuzz

@@ -41,8 +41,8 @@ struct SloSpec {
   Status Validate() const;
 };
 
-// Parses a spec from its JSON text (flat object of numbers and strings).
-// Schema:
+// Parses a spec from its JSON text through the common strict reader
+// (src/common/json.h). Schema:
 //
 //   {
 //     "schema_version": 1,          // optional, must equal 1 when present

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace nearpm {
 namespace obs {
 
@@ -65,7 +67,7 @@ void WriteFlightDump(std::ostream& os, const FlightRecorder& flight,
      << ",\"dropped\":" << flight.dropped() << ",\"sources\":[";
   const std::vector<std::string>& labels = flight.source_labels();
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    os << (i > 0 ? "," : "") << "\"" << labels[i] << "\"";
+    os << (i > 0 ? "," : "") << JsonQuote(labels[i]);
   }
   os << "]";
   if (alert != nullptr) {

@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 
+#include "src/common/name_table.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 
@@ -24,7 +26,11 @@ enum class Mechanism : std::uint8_t {
   kShadowPaging,   // page-granularity copy-on-write with atomic switch
 };
 
+// The canonical names: "logging", "redo_logging", "checkpointing",
+// "shadow_paging".
+const NameTable<Mechanism>& MechanismNames();
 const char* MechanismName(Mechanism m);
+StatusOr<Mechanism> MechanismFromName(const std::string& name);
 
 class ConsistencyProvider {
  public:

@@ -6,18 +6,22 @@
 
 namespace nearpm {
 
-const char* MechanismName(Mechanism m) {
-  switch (m) {
-    case Mechanism::kLogging:
-      return "logging";
-    case Mechanism::kRedoLogging:
-      return "redo_logging";
-    case Mechanism::kCheckpointing:
-      return "checkpointing";
-    case Mechanism::kShadowPaging:
-      return "shadow_paging";
+const NameTable<Mechanism>& MechanismNames() {
+  static const NameTable<Mechanism> table{
+      {Mechanism::kLogging, "logging"},
+      {Mechanism::kRedoLogging, "redo_logging"},
+      {Mechanism::kCheckpointing, "checkpointing"},
+      {Mechanism::kShadowPaging, "shadow_paging"}};
+  return table;
+}
+
+const char* MechanismName(Mechanism m) { return MechanismNames().Name(m); }
+
+StatusOr<Mechanism> MechanismFromName(const std::string& name) {
+  if (const auto m = MechanismNames().Parse(name)) {
+    return *m;
   }
-  return "?";
+  return InvalidArgument("unknown mechanism \"" + name + "\"");
 }
 
 UndoLogProvider::UndoLogProvider(const PmPool* pool)

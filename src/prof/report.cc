@@ -6,6 +6,7 @@
 #include <map>
 #include <string>
 
+#include "src/common/json.h"
 #include "src/trace/trace_event.h"
 
 namespace nearpm {
@@ -25,16 +26,6 @@ std::string Percent(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%6.2f%%", v * 100.0);
   return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 // "device 0" / "unit 1" labels for a slice; slices always come from a
@@ -241,8 +232,8 @@ std::string RenderProfileJson(const Profile& profile,
   for (const ResourceUsage& usage : profile.resources) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    {\"name\": \"" + JsonEscape(usage.name) +
-           "\", \"pid\": " + std::to_string(usage.pid) +
+    out += "    {\"name\": " + JsonQuote(usage.name) +
+           ", \"pid\": " + std::to_string(usage.pid) +
            ", \"tid\": " + std::to_string(usage.tid) +
            ", \"spans\": " + std::to_string(usage.spans) +
            ", \"busy_ns\": " + std::to_string(usage.busy_ns) +
@@ -257,8 +248,8 @@ std::string RenderProfileJson(const Profile& profile,
     out += first ? "\n" : ",\n";
     first = false;
     out += "    {\"series\": \"" + std::string(TracePhaseName(series.phase)) +
-           "\", \"name\": \"" + JsonEscape(series.name) +
-           "\", \"pid\": " + std::to_string(series.pid) +
+           "\", \"name\": " + JsonQuote(series.name) +
+           ", \"pid\": " + std::to_string(series.pid) +
            ", \"tid\": " + std::to_string(series.tid) +
            ", \"samples\": " + std::to_string(series.samples) +
            ", \"mean\": " + Fixed6(series.mean) +
@@ -271,8 +262,8 @@ std::string RenderProfileJson(const Profile& profile,
   for (const auto& [name, total] : profile.span_totals) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) +
-           "\": {\"count\": " + std::to_string(total.count) +
+    out += "    " + JsonQuote(name) +
+           ": {\"count\": " + std::to_string(total.count) +
            ", \"total_ns\": " + std::to_string(total.total_ns) + "}";
   }
   out += first ? "}\n" : "\n  }\n";

@@ -16,19 +16,21 @@ constexpr std::size_t kCtrlBytes = 32;
 
 }  // namespace
 
+const NameTable<ReplProtocol>& ReplProtocolNames() {
+  static const NameTable<ReplProtocol> table{
+      {ReplProtocol::kPrimaryBackup, "pb"},
+      {ReplProtocol::kOneSidedRedo, "redo"}};
+  return table;
+}
+
 const char* ReplProtocolName(ReplProtocol protocol) {
-  switch (protocol) {
-    case ReplProtocol::kPrimaryBackup:
-      return "pb";
-    case ReplProtocol::kOneSidedRedo:
-      return "redo";
-  }
-  return "?";
+  return ReplProtocolNames().Name(protocol);
 }
 
 StatusOr<ReplProtocol> ReplProtocolFromName(const std::string& name) {
-  if (name == "pb") return ReplProtocol::kPrimaryBackup;
-  if (name == "redo") return ReplProtocol::kOneSidedRedo;
+  if (const auto protocol = ReplProtocolNames().Parse(name)) {
+    return *protocol;
+  }
   return InvalidArgument("unknown replication protocol \"" + name +
                          "\" (want pb|redo)");
 }

@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/name_table.h"
 #include "src/common/status.h"
 #include "src/net/fabric.h"
 #include "src/serve/front_end.h"
@@ -70,6 +71,8 @@ enum class ReplProtocol : std::uint8_t {
   kOneSidedRedo,       // primary writes the backup's PM; NDP replays locally
 };
 
+// The canonical names: "pb", "redo".
+const NameTable<ReplProtocol>& ReplProtocolNames();
 const char* ReplProtocolName(ReplProtocol protocol);
 StatusOr<ReplProtocol> ReplProtocolFromName(const std::string& name);
 

@@ -12,10 +12,11 @@
 
 #include "src/analyze/rules.h"
 #include "src/analyze/sanitizer.h"
+#include "src/common/files.h"
+#include "src/common/json.h"
 #include "src/core/log_layout.h"
 #include "src/core/options.h"
 #include "src/core/runtime.h"
-#include "src/fuzz/fuzz_json.h"
 #include "src/pmem/pm_space.h"
 #include "src/trace/crash_cursor.h"
 #include "src/trace/ppo_checker.h"
@@ -25,33 +26,19 @@
 namespace nearpm {
 namespace spec {
 
-const char* DisagreementKindName(DisagreementKind kind) {
-  switch (kind) {
-    case DisagreementKind::kStateNotAllowed:
-      return "state-not-allowed";
-    case DisagreementKind::kCheckerFalseAlarm:
-      return "checker-false-alarm";
-    case DisagreementKind::kCheckerMissed:
-      return "checker-missed";
-    case DisagreementKind::kSanitizerFalseAlarm:
-      return "sanitizer-false-alarm";
-    case DisagreementKind::kSanitizerMissed:
-      return "sanitizer-missed";
-  }
-  return "unknown";
+const NameTable<DisagreementKind>& DisagreementKindNames() {
+  using K = DisagreementKind;
+  static const NameTable<K> table{
+      {K::kStateNotAllowed, "state-not-allowed"},
+      {K::kCheckerFalseAlarm, "checker-false-alarm"},
+      {K::kCheckerMissed, "checker-missed"},
+      {K::kSanitizerFalseAlarm, "sanitizer-false-alarm"},
+      {K::kSanitizerMissed, "sanitizer-missed"}};
+  return table;
 }
 
-bool DisagreementKindFromString(std::string_view text, DisagreementKind* out) {
-  for (DisagreementKind k :
-       {DisagreementKind::kStateNotAllowed, DisagreementKind::kCheckerFalseAlarm,
-        DisagreementKind::kCheckerMissed, DisagreementKind::kSanitizerFalseAlarm,
-        DisagreementKind::kSanitizerMissed}) {
-    if (text == DisagreementKindName(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
+const char* DisagreementKindName(DisagreementKind kind) {
+  return DisagreementKindNames().Name(kind);
 }
 
 namespace {
@@ -592,67 +579,88 @@ LitmusProgram ShrinkDisagreement(const LitmusProgram& program,
   return current;
 }
 
+namespace {
+
+constexpr const char* kLitmusSchema = "litmus-repro-v1";
+
+// The litmus-repro-v1 keys, bound to `repro`. `schema` and `weaken` stand
+// in for the two keys the struct does not hold as written.
+std::vector<JsonField> LitmusFields(LitmusRepro* repro, std::string* schema,
+                                    std::uint64_t* weaken) {
+  return {StringField("schema", schema),
+          StringField("name", &repro->name),
+          StringField("text", &repro->text),
+          Optional(BoolField("enforce", &repro->enforce)),
+          Optional(NamedField("mutation", &repro->mutation,
+                              &SpecMutationNames())),
+          Optional(UintField("weaken_checker", weaken)),
+          NamedField("kind", &repro->kind, &DisagreementKindNames()),
+          Optional(StringField("detail", &repro->detail))};
+}
+
+}  // namespace
+
 std::string LitmusRepro::Write() const {
-  fuzz::JsonObject object;
-  object["schema"] = fuzz::JsonValue::String("litmus-repro-v1");
-  object["name"] = fuzz::JsonValue::String(name);
-  object["text"] = fuzz::JsonValue::String(text);
-  object["enforce"] = fuzz::JsonValue::Bool(enforce);
-  object["mutation"] = fuzz::JsonValue::String(SpecMutationName(mutation));
-  object["weaken_checker"] = fuzz::JsonValue::Uint(weaken_checker);
-  object["kind"] = fuzz::JsonValue::String(DisagreementKindName(kind));
-  object["detail"] = fuzz::JsonValue::String(detail);
-  return fuzz::WriteJsonObject(object);
+  LitmusRepro copy = *this;
+  std::string schema = kLitmusSchema;
+  std::uint64_t weaken = weaken_checker;
+  JsonValue object = JsonValue::Object();
+  AppendJsonFields(LitmusFields(&copy, &schema, &weaken), &object);
+  return WriteFlatJsonObject(object);
 }
 
 StatusOr<LitmusRepro> LitmusRepro::Parse(std::string_view text) {
-  StatusOr<fuzz::JsonObject> object = fuzz::ParseJsonObject(text);
-  if (!object.ok()) {
-    return object.status();
-  }
-  const auto get = [&](const std::string& key) -> const fuzz::JsonValue* {
-    auto it = object->find(key);
-    return it == object->end() ? nullptr : &it->second;
-  };
-  const fuzz::JsonValue* schema = get("schema");
-  if (schema == nullptr || schema->str != "litmus-repro-v1") {
-    return InvalidArgument("litmus repro: missing or unknown schema");
+  StatusOr<JsonValue> doc = ParseJson(text);
+  if (!doc.ok()) {
+    return doc.status();
   }
   LitmusRepro repro;
-  const fuzz::JsonValue* field = get("name");
-  if (field == nullptr) {
-    return InvalidArgument("litmus repro: missing name");
+  std::string schema;
+  std::uint64_t weaken = 0;
+  NEARPM_RETURN_IF_ERROR(ReadJsonFields(
+      *doc, LitmusFields(&repro, &schema, &weaken), "litmus repro"));
+  if (schema != kLitmusSchema) {
+    return InvalidArgument("litmus repro: unknown schema \"" + schema + "\"");
   }
-  repro.name = field->str;
-  field = get("text");
-  if (field == nullptr || field->str.empty()) {
+  if (repro.text.empty()) {
     return InvalidArgument("litmus repro: missing program text");
   }
-  repro.text = field->str;
-  field = get("enforce");
-  if (field != nullptr) {
-    repro.enforce = field->boolean;
+  if (weaken > UINT32_MAX) {
+    return InvalidArgument("litmus repro: weaken_checker must fit 32 bits");
   }
-  field = get("mutation");
-  if (field != nullptr &&
-      !SpecMutationFromString(field->str, &repro.mutation)) {
-    return InvalidArgument("litmus repro: unknown mutation '" + field->str +
-                           "'");
+  repro.weaken_checker = static_cast<std::uint32_t>(weaken);
+  return repro;
+}
+
+std::string LitmusRepro::FileName() const {
+  std::string stem = name;
+  for (char& c : stem) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '-' || c == '_';
+    if (!ok) {
+      c = '_';
+    }
   }
-  field = get("weaken_checker");
-  if (field != nullptr) {
-    repro.weaken_checker = static_cast<std::uint32_t>(field->num);
+  return stem + "-" + DisagreementKindName(kind) + ".json";
+}
+
+StatusOr<LitmusRepro> LoadLitmusRepro(const std::string& path) {
+  StatusOr<std::string> text = ReadTextFile(path);
+  if (!text.ok()) {
+    return text.status();
   }
-  field = get("kind");
-  if (field == nullptr ||
-      !DisagreementKindFromString(field->str, &repro.kind)) {
-    return InvalidArgument("litmus repro: missing or unknown kind");
-  }
-  field = get("detail");
-  if (field != nullptr) {
-    repro.detail = field->str;
+  StatusOr<LitmusRepro> repro = LitmusRepro::Parse(*text);
+  if (!repro.ok()) {
+    return InvalidArgument(path + ": " + repro.status().message());
   }
   return repro;
+}
+
+StatusOr<std::string> SaveLitmusRepro(const LitmusRepro& repro,
+                                      const std::string& dir) {
+  const std::string path = dir + "/" + repro.FileName();
+  NEARPM_RETURN_IF_ERROR(WriteTextFile(path, repro.Write()));
+  return path;
 }
 
 LitmusRepro MakeRepro(const LitmusProgram& program,

@@ -33,6 +33,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/status.h"
 #include "src/spec/litmus.h"
 #include "src/spec/model.h"
@@ -53,8 +54,8 @@ enum class DisagreementKind : std::uint8_t {
   kSanitizerMissed,
 };
 
+const NameTable<DisagreementKind>& DisagreementKindNames();
 const char* DisagreementKindName(DisagreementKind kind);
-bool DisagreementKindFromString(std::string_view text, DisagreementKind* out);
 
 struct ConformanceConfig {
   // Probe-runtime enforce_ppo leg (spec and machine must agree per leg).
@@ -112,7 +113,8 @@ LitmusProgram ShrinkDisagreement(const LitmusProgram& program,
                                  DisagreementKind kind);
 
 // One shrunk disagreement as a flat-JSON corpus artifact (schema
-// "litmus-repro-v1", same style as the fuzz corpus repros).
+// "litmus-repro-v1", written in the same canonical flat form as the fuzz
+// repros and read through the same strict reader, src/common/json.h).
 struct LitmusRepro {
   std::string name;
   std::string text;  // litmus grammar, one line
@@ -124,7 +126,15 @@ struct LitmusRepro {
 
   std::string Write() const;
   static StatusOr<LitmusRepro> Parse(std::string_view text);
+  // <name>-<kind>.json, with the name reduced to [A-Za-z0-9_-].
+  std::string FileName() const;
 };
+
+// Corpus file I/O: load one repro (errors name the path), or save one under
+// `dir` (created when missing) and return its path.
+StatusOr<LitmusRepro> LoadLitmusRepro(const std::string& path);
+StatusOr<std::string> SaveLitmusRepro(const LitmusRepro& repro,
+                                      const std::string& dir);
 
 LitmusRepro MakeRepro(const LitmusProgram& program,
                       const ConformanceConfig& config,

@@ -2,30 +2,30 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace nearpm {
 namespace spec {
 
+const NameTable<SpecMutation>& SpecMutationNames() {
+  static const NameTable<SpecMutation> table{
+      {SpecMutation::kNone, "none"},
+      {SpecMutation::kAtomicRequests, "atomic-requests"},
+      {SpecMutation::kWritesDurable, "writes-durable"},
+      {SpecMutation::kNoRaces, "no-races"}};
+  return table;
+}
+
 const char* SpecMutationName(SpecMutation mutation) {
-  switch (mutation) {
-    case SpecMutation::kNone: return "none";
-    case SpecMutation::kAtomicRequests: return "atomic-requests";
-    case SpecMutation::kWritesDurable: return "writes-durable";
-    case SpecMutation::kNoRaces: return "no-races";
-  }
-  return "none";
+  return SpecMutationNames().Name(mutation);
 }
 
 bool SpecMutationFromString(std::string_view text, SpecMutation* out) {
-  for (SpecMutation m :
-       {SpecMutation::kNone, SpecMutation::kAtomicRequests,
-        SpecMutation::kWritesDurable, SpecMutation::kNoRaces}) {
-    if (text == SpecMutationName(m)) {
-      *out = m;
-      return true;
-    }
+  const std::optional<SpecMutation> m = SpecMutationNames().Parse(text);
+  if (m) {
+    *out = *m;
   }
-  return false;
+  return m.has_value();
 }
 
 int LocLine(int loc) { return loc; }

@@ -37,6 +37,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/types.h"
 #include "src/spec/litmus.h"
 
@@ -58,6 +59,9 @@ enum class SpecMutation : std::uint8_t {
   kNoRaces,
 };
 
+// Every mutation by name, in declaration order (the --mutate-spec values
+// and the litmus repro "mutation" key).
+const NameTable<SpecMutation>& SpecMutationNames();
 const char* SpecMutationName(SpecMutation mutation);
 bool SpecMutationFromString(std::string_view text, SpecMutation* out);
 

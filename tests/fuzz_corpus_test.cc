@@ -8,15 +8,15 @@
 // and points at the source-tree corpus directory.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/analyze/sanitizer.h"
-#include "src/analyze/trace_analyzer.h"
-#include "src/fuzz/corpus.h"
-#include "src/fuzz/crash_fuzzer.h"
-#include "src/repl/repl_fuzzer.h"
-#include "src/serve/serve_fuzzer.h"
+#include "src/common/files.h"
+#include "src/fuzz/repl_fuzzer.h"
+#include "src/fuzz/repro.h"
+#include "src/fuzz/serve_fuzzer.h"
 
 namespace nearpm {
 namespace fuzz {
@@ -36,93 +36,80 @@ class FuzzCorpusReplayTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(FuzzCorpusReplayTest, ReplayMatchesExpectation) {
   auto repro = LoadRepro(GetParam());
   ASSERT_TRUE(repro.ok()) << repro.status().ToString();
-
-  bool run_ok = false;
-  std::string verdict;
-  if (repro->kind == "serve") {
-    serve::ServeFuzzer fuzzer(serve::ServeFuzzer::ConfigFromRepro(*repro));
-    auto c = serve::ServeFuzzer::CaseFromRepro(*repro);
-    ASSERT_TRUE(c.ok()) << c.status().ToString();
-    const serve::ServeCaseResult r = fuzzer.Run(*c);
-    run_ok = r.ok();
-    verdict = std::string(serve::ServeFailureKindName(r.failure)) + ": " +
-              r.detail;
-  } else if (repro->kind == "repl") {
-    repl::ReplFuzzer fuzzer(repl::ReplFuzzer::ConfigFromRepro(*repro));
-    auto c = repl::ReplFuzzer::CaseFromRepro(*repro);
-    ASSERT_TRUE(c.ok()) << c.status().ToString();
-    const repl::ReplCaseResult r = fuzzer.Run(*c);
-    run_ok = r.ok();
-    verdict = std::string(repl::ReplFailureKindName(r.failure)) + ": " +
-              r.detail;
-  } else {
-    CrashFuzzer fuzzer(CrashFuzzer::ConfigFromRepro(*repro));
-    const FuzzCase c = CrashFuzzer::CaseFromRepro(*repro);
-    const CaseResult r = fuzzer.Run(c);
-    run_ok = r.ok();
-    verdict = std::string(FailureKindName(r.failure)) + ": " + r.detail;
-  }
+  const CaseResult r = ReplayRepro(*repro);
   if (repro->expect == "violation") {
-    EXPECT_FALSE(run_ok)
+    EXPECT_FALSE(r.ok())
         << "a once-flagged crash state passed the oracle; if the machine "
            "became stricter on purpose, refresh this repro ("
         << GetParam() << ")";
   } else {
-    EXPECT_TRUE(run_ok) << verdict << " (" << GetParam() << ")";
+    EXPECT_TRUE(r.ok()) << FailureKindName(r.failure) << ": " << r.detail
+                        << " (" << GetParam() << ")";
   }
 }
 
-// The rule-engine policy nearpm_analyze --corpus enforces, applied to the
-// same committed repros: serve-/repl-kind repros replay their per-machine
-// trace snapshots through fresh sanitizers; sound repros must be
-// analyzer-clean, and skip_redo_persist repros must fire NPM007 (the
-// analyzer's teeth against the one-sided-redo ablation).
+// The rule-engine policy nearpm_analyze --corpus enforces (AnalyzeRepro),
+// applied to every committed repro: bank repros run with the sanitizer
+// attached live, serve-/repl-kind repros replay their per-node trace
+// snapshots through it.
 class CorpusAnalyzerPolicyTest : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(CorpusAnalyzerPolicyTest, TraceReplayMatchesPolicy) {
   auto repro = LoadRepro(GetParam());
   ASSERT_TRUE(repro.ok()) << repro.status().ToString();
-  if (repro->kind != "serve" && repro->kind != "repl") {
-    GTEST_SKIP() << "bank-kind repros attach the sanitizer live";
-  }
-
   analyze::PmSanitizer san;
-  std::vector<std::vector<TraceEvent>> traces;
-  bool redo_persist_broken = false;
-  if (repro->kind == "serve") {
-    serve::ServeFuzzConfig config = serve::ServeFuzzer::ConfigFromRepro(*repro);
-    config.trace_sink = &traces;
-    auto c = serve::ServeFuzzer::CaseFromRepro(*repro);
-    ASSERT_TRUE(c.ok());
-    serve::ServeFuzzer(config).Run(*c);
-  } else {
-    repl::ReplFuzzConfig config = repl::ReplFuzzer::ConfigFromRepro(*repro);
-    config.trace_sink = &traces;
-    redo_persist_broken = config.skip_redo_persist;
-    auto c = repl::ReplFuzzer::CaseFromRepro(*repro);
-    ASSERT_TRUE(c.ok());
-    repl::ReplFuzzer(config).Run(*c);
-  }
-  ASSERT_FALSE(traces.empty()) << "the fuzzer deposited no trace snapshots";
-  for (const std::vector<TraceEvent>& trace : traces) {
-    analyze::AnalyzeTrace(trace, &san);
-  }
+  const AnalyzerVerdict verdict = AnalyzeRepro(*repro, &san);
+  EXPECT_TRUE(verdict.matches_expectation)
+      << FailureKindName(verdict.result.failure) << ": "
+      << verdict.result.detail;
+  EXPECT_EQ(verdict.policy, "ok") << san.sink().RenderText();
+}
 
-  const bool sound =
-      repro->enforce_ppo && !repro->break_recovery && !redo_persist_broken;
-  if (sound) {
-    EXPECT_EQ(san.sink().total_unsuppressed(), 0u)
-        << san.sink().RenderText();
+// The policy passes nothing vacuously. A serve repro whose prefix cannot
+// run (no transaction pairs) and a repl repro whose crash mask selects no
+// node both end in a harness verdict before any trace reaches the
+// sanitizer; recorded as expect=violation they match their expectation,
+// and the policy must still fail them.
+TEST(AnalyzerPolicyTest, HarnessVerdictFailsThePolicy) {
+  ServeFuzzCase serve_case;
+  serve_case.txn_pairs = 0;
+  ReplFuzzCase repl_case;
+  repl_case.crash_mask = 0;
+  const CrashRepro repros[] = {
+      ServeFuzzer(ServeFuzzConfig{}).ToRepro(serve_case, "violation", ""),
+      ReplFuzzer(ReplFuzzConfig{}).ToRepro(repl_case, "violation", "")};
+  for (const CrashRepro& repro : repros) {
+    analyze::PmSanitizer san;
+    const AnalyzerVerdict verdict = AnalyzeRepro(repro, &san);
+    EXPECT_EQ(verdict.result.failure, FailureKind::kHarness) << repro.kind;
+    EXPECT_TRUE(verdict.matches_expectation) << repro.kind;
+    EXPECT_EQ(verdict.policy.rfind("FAIL (harness: ", 0), 0u)
+        << repro.kind << ": " << verdict.policy;
   }
-  if (!repro->enforce_ppo) {
-    EXPECT_GT(san.sink().total_unsuppressed(), 0u)
-        << "the rule engine missed the enforce_ppo=false ablation";
+}
+
+// A scenario that reports a violation without replaying any trace through
+// the sanitizer.
+class SilentScenario final : public ScenarioRepro {
+ public:
+  void Fields(std::vector<JsonField>* /*fields*/) override {}
+  Status Bind(const ReproHeader& /*header*/) override { return Status::Ok(); }
+  CaseResult Run(analyze::PmSanitizer* /*sanitizer*/) const override {
+    return Fail(FailureKind::kTornTxn, "torn");
   }
-  if (redo_persist_broken) {
-    EXPECT_GT(san.sink().count(analyze::RuleId::kNpm007), 0u)
-        << "the rule engine missed the skip_redo_persist ablation";
-  }
+  std::string FileName() const override { return "silent.json"; }
+};
+
+TEST(AnalyzerPolicyTest, ReplayThatFedTheSanitizerNothingFails) {
+  CrashRepro repro;
+  repro.kind = "silent";
+  repro.expect = "violation";
+  repro.scenario = std::make_shared<SilentScenario>();
+  analyze::PmSanitizer san;
+  const AnalyzerVerdict verdict = AnalyzeRepro(repro, &san);
+  EXPECT_TRUE(verdict.matches_expectation);
+  EXPECT_EQ(verdict.policy, "FAIL (the replay fed the sanitizer no trace)");
 }
 
 std::string TestNameForPath(const std::string& path) {

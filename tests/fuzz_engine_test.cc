@@ -8,18 +8,18 @@
 #include <string>
 #include <vector>
 
-#include "src/fuzz/corpus.h"
 #include "src/fuzz/crash_fuzzer.h"
+#include "src/fuzz/repro.h"
 
 namespace nearpm {
 namespace fuzz {
 namespace {
 
-std::string FirstFailureDetail(const std::vector<FuzzFailure>& failures) {
+std::string FirstFailureDetail(const std::vector<Failure<FuzzCase>>& failures) {
   if (failures.empty()) {
     return "(no failures)";
   }
-  const FuzzFailure& f = failures.front();
+  const Failure<FuzzCase>& f = failures.front();
   return std::string(FailureKindName(f.result.failure)) + " at seed=" +
          std::to_string(f.fuzz_case.seed) + " step=" +
          std::to_string(f.fuzz_case.crash_step) +
@@ -41,7 +41,7 @@ TEST_P(FuzzGreenSweepTest, RandomSweepStaysGreen) {
   config.mechanism = GetParam().mechanism;
   config.mode = GetParam().mode;
   CrashFuzzer fuzzer(config);
-  std::vector<FuzzFailure> failures;
+  std::vector<Failure<FuzzCase>> failures;
   const SweepStats stats = fuzzer.RandomSweep(1, 5, 2, &failures);
   EXPECT_EQ(stats.cases, 10u);
   EXPECT_EQ(stats.failures, 0u) << FirstFailureDetail(failures);
@@ -76,7 +76,7 @@ TEST(FuzzSystematicTest, SystematicSweepStaysGreen) {
   config.mechanism = Mechanism::kLogging;
   config.mode = ExecMode::kNdpMultiDelayed;
   CrashFuzzer fuzzer(config);
-  std::vector<FuzzFailure> failures;
+  std::vector<Failure<FuzzCase>> failures;
   const SweepStats stats = fuzzer.Systematic(1, 4, 12, &failures);
   EXPECT_GT(stats.cases, 0u);
   EXPECT_EQ(stats.failures, 0u) << FirstFailureDetail(failures);
@@ -96,11 +96,15 @@ TEST(FuzzReplayTest, SweepCaseDerivationIsDeterministic) {
   EXPECT_EQ(a.crash_time, b.crash_time);
   EXPECT_EQ(a.line_survival, b.line_survival);
 
-  const CaseResult ra = fuzzer.Run(a);
-  const CaseResult rb = fuzzer.Run(b);
+  RecoveredPrefix pa;
+  RecoveredPrefix pb;
+  const CaseResult ra = fuzzer.Run(a, &pa);
+  const CaseResult rb = fuzzer.Run(b, &pb);
+  ASSERT_TRUE(ra.ok()) << FailureKindName(ra.failure) << ": " << ra.detail;
+  EXPECT_EQ(pa.committed, a.crash_step + (a.mid_op ? 0 : 1));
   EXPECT_EQ(ra.failure, rb.failure);
-  EXPECT_EQ(ra.matched_prefix, rb.matched_prefix);
-  EXPECT_EQ(ra.committed, rb.committed);
+  EXPECT_EQ(pa.matched, pb.matched);
+  EXPECT_EQ(pa.committed, pb.committed);
 }
 
 // The Section 2.3 ablation: without PPO the differential oracle must flag
@@ -114,7 +118,7 @@ TEST(FuzzTeethTest, PpoAblationIsCaught) {
   config.enforce_ppo = false;
   CrashFuzzer fuzzer(config);
 
-  std::vector<FuzzFailure> failures;
+  std::vector<Failure<FuzzCase>> failures;
   for (std::uint64_t seed = 1; seed <= 6 && failures.empty(); ++seed) {
     fuzzer.Systematic(seed, 6, 16, &failures);
   }
@@ -142,7 +146,7 @@ TEST(FuzzTeethTest, BrokenRecoveryIsCaughtAndShrinks) {
   config.break_recovery = true;
   CrashFuzzer fuzzer(config);
 
-  std::vector<FuzzFailure> failures;
+  std::vector<Failure<FuzzCase>> failures;
   for (std::uint64_t seed = 1; seed <= 8 && failures.empty(); ++seed) {
     fuzzer.Systematic(seed, 8, 16, &failures);
   }
@@ -180,8 +184,13 @@ TEST(FuzzCorpusRoundTripTest, JsonRoundTripIsLossless) {
   c.line_survival = {true, false, true};
 
   const CrashRepro repro = fuzzer.ToRepro(c, "violation", "round trip");
-  auto parsed = ReproFromJson(ReproToJson(repro));
+  const std::string json = ReproToJson(repro);
+  auto parsed = ReproFromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->kind, "bank");
+  EXPECT_EQ(json.find("\"kind\""), std::string::npos)
+      << "bank repros leave the kind out";
+  EXPECT_EQ(ReproToJson(*parsed), json);
   EXPECT_EQ(parsed->mechanism, Mechanism::kShadowPaging);
   EXPECT_EQ(parsed->mode, ExecMode::kNdpMultiSwSync);
   EXPECT_FALSE(parsed->enforce_ppo);
@@ -189,7 +198,11 @@ TEST(FuzzCorpusRoundTripTest, JsonRoundTripIsLossless) {
   EXPECT_EQ(parsed->expect, "violation");
   EXPECT_EQ(parsed->note, "round trip");
 
-  const FuzzCase back = CrashFuzzer::CaseFromRepro(*parsed);
+  const BankRepro* bank = ScenarioOf<BankRepro>(*parsed);
+  ASSERT_NE(bank, nullptr);
+  EXPECT_EQ(bank->config.mechanism, Mechanism::kShadowPaging);
+  EXPECT_FALSE(bank->config.enforce_ppo);
+  const FuzzCase& back = bank->fuzz_case;
   EXPECT_EQ(back.seed, c.seed);
   EXPECT_EQ(back.total_ops, c.total_ops);
   EXPECT_EQ(back.crash_step, c.crash_step);

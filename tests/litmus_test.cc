@@ -4,14 +4,12 @@
 // corpus repro still replays. The deep sweep (500+ programs, full crash-point
 // enumeration) lives in CI (`nearpm_litmus --systematic`); these tests keep
 // the same machinery honest at unit-test budget.
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/common/files.h"
 #include "src/spec/conformance.h"
 #include "src/spec/litmus.h"
 #include "src/spec/model.h"
@@ -153,23 +151,14 @@ TEST(Conformance, ReproJsonRoundTrips) {
 TEST(Conformance, CheckedInCorpusReplays) {
   // Every repro under tests/litmus_corpus must still reproduce its recorded
   // disagreement (and the healthy configuration must stay clean).
-  const std::filesystem::path dir = NEARPM_LITMUS_CORPUS_DIR;
-  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  std::size_t replayed = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".json") continue;
-    std::ifstream in(entry.path());
-    ASSERT_TRUE(in.good()) << entry.path();
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    StatusOr<LitmusRepro> repro = LitmusRepro::Parse(buf.str());
-    ASSERT_TRUE(repro.ok())
-        << entry.path() << ": " << repro.status().message();
+  const std::vector<std::string> files = ListCorpus(NEARPM_LITMUS_CORPUS_DIR);
+  for (const std::string& path : files) {
+    StatusOr<LitmusRepro> repro = LoadLitmusRepro(path);
+    ASSERT_TRUE(repro.ok()) << repro.status().message();
     const Status status = ReplayLitmusRepro(repro.value());
-    EXPECT_TRUE(status.ok()) << entry.path() << ": " << status.message();
-    ++replayed;
+    EXPECT_TRUE(status.ok()) << path << ": " << status.message();
   }
-  EXPECT_GE(replayed, 3u) << "litmus corpus should hold the teeth anchors";
+  EXPECT_GE(files.size(), 3u) << "litmus corpus should hold the teeth anchors";
 }
 
 }  // namespace

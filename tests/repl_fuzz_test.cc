@@ -7,12 +7,16 @@
 #include <string>
 #include <vector>
 
-#include "src/fuzz/corpus.h"
-#include "src/repl/repl_fuzzer.h"
+#include "src/fuzz/repl_fuzzer.h"
+#include "src/fuzz/repro.h"
 
 namespace nearpm {
-namespace repl {
+namespace fuzz {
 namespace {
+
+using repl::ReplProtocol;
+using repl::ReplProtocolName;
+using repl::ReplStopPhase;
 
 ReplFuzzConfig SmallConfig(ReplProtocol protocol) {
   ReplFuzzConfig config;
@@ -34,8 +38,8 @@ TEST(ReplFuzzerTest, CleanRunPassesEveryOracle) {
   ReplFuzzer fuzzer(SmallConfig(ReplProtocol::kPrimaryBackup));
   ReplFuzzCase c = SmallCase();
   c.phase = ReplStopPhase::kNone;
-  const ReplCaseResult result = fuzzer.Run(c);
-  EXPECT_TRUE(result.ok()) << ReplFailureKindName(result.failure) << ": "
+  const CaseResult result = fuzzer.Run(c);
+  EXPECT_TRUE(result.ok()) << FailureKindName(result.failure) << ": "
                            << result.detail;
 }
 
@@ -44,8 +48,8 @@ TEST(ReplFuzzerTest, CoordinatorCrashAfterIntentRecovers) {
   ReplFuzzCase c = SmallCase();
   c.phase = ReplStopPhase::kAfterIntent;
   c.crash_mask = ~0ull;  // whole cluster
-  const ReplCaseResult result = fuzzer.Run(c);
-  EXPECT_TRUE(result.ok()) << ReplFailureKindName(result.failure) << ": "
+  const CaseResult result = fuzzer.Run(c);
+  EXPECT_TRUE(result.ok()) << FailureKindName(result.failure) << ": "
                            << result.detail;
 }
 
@@ -56,8 +60,8 @@ TEST(ReplFuzzerTest, PrimaryOnlyCrashDrivesFailover) {
   ReplFuzzCase c = SmallCase();
   c.phase = ReplStopPhase::kAfterReplicate;
   c.crash_mask = 0b0001;
-  const ReplCaseResult result = fuzzer.Run(c);
-  EXPECT_TRUE(result.ok()) << ReplFailureKindName(result.failure) << ": "
+  const CaseResult result = fuzzer.Run(c);
+  EXPECT_TRUE(result.ok()) << FailureKindName(result.failure) << ": "
                            << result.detail;
 }
 
@@ -76,13 +80,13 @@ TEST_P(ReplSweepTest, SystematicCrashSubsetSweepIsClean) {
   // subset x {all-drop, all-survive}: zero lost-committed, zero torn, zero
   // divergent replicas.
   ReplFuzzer fuzzer(SmallConfig(GetParam()));
-  std::vector<ReplFuzzFailure> failures;
-  const fuzz::SweepStats stats = fuzzer.Systematic(/*seed=*/11, &failures);
+  std::vector<Failure<ReplFuzzCase>> failures;
+  const SweepStats stats = fuzzer.Systematic(/*seed=*/11, &failures);
   EXPECT_GT(stats.cases, 200u);
   EXPECT_EQ(stats.failures, 0u);
   for (std::size_t i = 0; i < failures.size() && i < 5; ++i) {
-    ADD_FAILURE() << ReplFailureKindName(failures[i].result.failure) << " at "
-                  << ReplFuzzer::PhaseName(failures[i].fuzz_case.phase)
+    ADD_FAILURE() << FailureKindName(failures[i].result.failure) << " at "
+                  << ReplStopPhaseNames().Name(failures[i].fuzz_case.phase)
                   << " ordinal " << failures[i].fuzz_case.ordinal << " mask "
                   << failures[i].fuzz_case.crash_mask << ": "
                   << failures[i].result.detail;
@@ -110,19 +114,19 @@ TEST(ReplFuzzerTeethTest, BrokenIntentRedoIsCaught) {
   ReplFuzzCase c = SmallCase();
   c.phase = ReplStopPhase::kAfterReplicate;
   c.crash_mask = ~0ull;
-  const ReplCaseResult result = fuzzer.Run(c);
+  const CaseResult result = fuzzer.Run(c);
   ASSERT_FALSE(result.ok()) << "the seeded bug went undetected";
-  EXPECT_TRUE(result.failure == ReplFailureKind::kTornTxn ||
-              result.failure == ReplFailureKind::kDivergentReplica)
-      << ReplFailureKindName(result.failure) << ": " << result.detail;
+  EXPECT_TRUE(result.failure == FailureKind::kTornTxn ||
+              result.failure == FailureKind::kDivergentReplica)
+      << FailureKindName(result.failure) << ": " << result.detail;
 }
 
 TEST(ReplFuzzerTeethTest, BrokenIntentRedoIsCaughtBySweep) {
   ReplFuzzConfig config = SmallConfig(ReplProtocol::kPrimaryBackup);
   config.break_intent_redo = true;
   ReplFuzzer fuzzer(config);
-  std::vector<ReplFuzzFailure> failures;
-  const fuzz::SweepStats stats = fuzzer.Systematic(/*seed=*/11, &failures);
+  std::vector<Failure<ReplFuzzCase>> failures;
+  const SweepStats stats = fuzzer.Systematic(/*seed=*/11, &failures);
   EXPECT_GT(stats.failures, 0u) << "sweep of " << stats.cases
                                 << " cases missed the seeded bug";
 }
@@ -137,18 +141,18 @@ TEST(ReplFuzzerTeethTest, UnpersistedRedoRecordIsCaught) {
   ReplFuzzer fuzzer(config);
   ReplFuzzCase c = SmallCase();
   c.phase = ReplStopPhase::kNone;
-  const ReplCaseResult result = fuzzer.Run(c);
+  const CaseResult result = fuzzer.Run(c);
   ASSERT_FALSE(result.ok()) << "the seeded bug went undetected";
-  EXPECT_EQ(result.failure, ReplFailureKind::kDoorbellHazard)
-      << ReplFailureKindName(result.failure) << ": " << result.detail;
+  EXPECT_EQ(result.failure, FailureKind::kDoorbellHazard)
+      << FailureKindName(result.failure) << ": " << result.detail;
 }
 
 TEST(ReplFuzzerTeethTest, PersistedRedoHasNoDoorbellHazard) {
   ReplFuzzer fuzzer(SmallConfig(ReplProtocol::kOneSidedRedo));
   ReplFuzzCase c = SmallCase();
   c.phase = ReplStopPhase::kNone;
-  const ReplCaseResult result = fuzzer.Run(c);
-  EXPECT_TRUE(result.ok()) << ReplFailureKindName(result.failure) << ": "
+  const CaseResult result = fuzzer.Run(c);
+  EXPECT_TRUE(result.ok()) << FailureKindName(result.failure) << ": "
                            << result.detail;
 }
 
@@ -164,29 +168,27 @@ TEST(ReplCorpusTest, ReproRoundTripsThroughJson) {
   c.crash_mask = 0b0101;
   c.lines_survive = true;
 
-  const fuzz::CrashRepro repro =
+  const CrashRepro repro =
       fuzzer.ToRepro(c, "violation", "unit-test round trip");
   EXPECT_EQ(repro.kind, "repl");
-  const std::string json = fuzz::ReproToJson(repro);
-  auto parsed = fuzz::ReproFromJson(json);
+  const std::string json = ReproToJson(repro);
+  auto parsed = ReproFromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->kind, "repl");
-  EXPECT_EQ(parsed->repl_protocol, "redo");
-  EXPECT_EQ(parsed->repl_phase, "mid_apply");
-  EXPECT_EQ(parsed->repl_ordinal, 1u);
-  EXPECT_EQ(parsed->repl_crash_mask, 0b0101u);
-  EXPECT_TRUE(parsed->repl_survive);
-  EXPECT_TRUE(parsed->repl_skip_redo_persist);
+  EXPECT_EQ(ReproToJson(*parsed), json);
+  EXPECT_NE(json.find("\"repl_protocol\": \"redo\""), std::string::npos);
+  EXPECT_NE(json.find("\"repl_phase\": \"mid_apply\""), std::string::npos);
   EXPECT_EQ(parsed->expect, "violation");
 
-  const ReplFuzzConfig config2 = ReplFuzzer::ConfigFromRepro(*parsed);
+  const ReplRepro* replica = ScenarioOf<ReplRepro>(*parsed);
+  ASSERT_NE(replica, nullptr);
+  const ReplFuzzConfig& config2 = replica->config;
   EXPECT_EQ(config2.protocol, ReplProtocol::kOneSidedRedo);
   EXPECT_TRUE(config2.skip_redo_persist);
   EXPECT_EQ(config2.groups, 2);
   EXPECT_EQ(config2.replicas, 2);
 
-  auto c2 = ReplFuzzer::CaseFromRepro(*parsed);
-  ASSERT_TRUE(c2.ok()) << c2.status().ToString();
+  const ReplFuzzCase* c2 = &replica->fuzz_case;
   EXPECT_EQ(c2->seed, c.seed);
   EXPECT_EQ(c2->warmup_ops, c.warmup_ops);
   EXPECT_EQ(c2->txn_pairs, c.txn_pairs);
@@ -206,13 +208,13 @@ TEST(ReplCorpusTest, ReplayedReproReproducesTheVerdict) {
   c.phase = ReplStopPhase::kAfterReplicate;
   c.crash_mask = ~0ull;
 
-  const fuzz::CrashRepro repro = bad_fuzzer.ToRepro(c, "violation", "teeth");
-  auto parsed = fuzz::ReproFromJson(fuzz::ReproToJson(repro));
+  const CrashRepro repro = bad_fuzzer.ToRepro(c, "violation", "teeth");
+  auto parsed = ReproFromJson(ReproToJson(repro));
   ASSERT_TRUE(parsed.ok());
-  ReplFuzzer replayed(ReplFuzzer::ConfigFromRepro(*parsed));
-  auto replay_case = ReplFuzzer::CaseFromRepro(*parsed);
-  ASSERT_TRUE(replay_case.ok());
-  EXPECT_FALSE(replayed.Run(*replay_case).ok());
+  EXPECT_FALSE(ReplayRepro(*parsed).ok());
+  const ReplRepro* replica = ScenarioOf<ReplRepro>(*parsed);
+  ASSERT_NE(replica, nullptr);
+  const ReplFuzzCase* replay_case = &replica->fuzz_case;
 
   ReplFuzzer healthy(SmallConfig(ReplProtocol::kPrimaryBackup));
   EXPECT_TRUE(healthy.Run(*replay_case).ok());
@@ -223,26 +225,27 @@ TEST(ReplCorpusTest, FileNameEncodesTheSchedule) {
   ReplFuzzCase c = SmallCase();
   c.phase = ReplStopPhase::kAfterIntent;
   c.crash_mask = 3;
-  const fuzz::CrashRepro repro = fuzzer.ToRepro(c, "recoverable", "");
-  const std::string name = fuzz::ReproFileName(repro);
+  const CrashRepro repro = fuzzer.ToRepro(c, "recoverable", "");
+  const std::string name = ReproFileName(repro);
   EXPECT_NE(name.find("repl_pb"), std::string::npos) << name;
   EXPECT_NE(name.find("after_intent"), std::string::npos) << name;
   EXPECT_NE(name.find("m3"), std::string::npos) << name;
 }
 
 TEST(ReplFuzzerTest, PhaseNamesRoundTrip) {
+  const NameTable<ReplStopPhase>& names = ReplStopPhaseNames();
   for (ReplStopPhase phase :
        {ReplStopPhase::kNone, ReplStopPhase::kAfterIntent,
         ReplStopPhase::kMidReplicate, ReplStopPhase::kAfterReplicate,
         ReplStopPhase::kMidApply, ReplStopPhase::kAfterApply,
         ReplStopPhase::kAfterSync}) {
-    auto parsed = ReplFuzzer::PhaseFromName(ReplFuzzer::PhaseName(phase));
-    ASSERT_TRUE(parsed.ok()) << ReplFuzzer::PhaseName(phase);
+    const auto parsed = names.Parse(names.Name(phase));
+    ASSERT_TRUE(parsed.has_value()) << names.Name(phase);
     EXPECT_EQ(*parsed, phase);
   }
-  EXPECT_FALSE(ReplFuzzer::PhaseFromName("mid_warp").ok());
+  EXPECT_FALSE(names.Parse("mid_warp").has_value());
 }
 
 }  // namespace
-}  // namespace repl
+}  // namespace fuzz
 }  // namespace nearpm

@@ -6,12 +6,15 @@
 #include <string>
 #include <vector>
 
-#include "src/fuzz/corpus.h"
-#include "src/serve/serve_fuzzer.h"
+#include "src/fuzz/crash_fuzzer.h"
+#include "src/fuzz/repro.h"
+#include "src/fuzz/serve_fuzzer.h"
 
 namespace nearpm {
-namespace serve {
+namespace fuzz {
 namespace {
+
+using serve::TxnStopPhase;
 
 // Keep unit-test sweeps quick: "right now" plus a few enumerated offsets per
 // stop point is plenty to cover the protocol (the CLI runs the deep sweeps).
@@ -20,13 +23,13 @@ constexpr std::size_t kTestCandidates = 4;
 TEST(ServeFuzzerTest, SystematicSweepIsGreen) {
   ServeFuzzConfig config;
   ServeFuzzer fuzzer(config);
-  std::vector<ServeFuzzFailure> failures;
-  const fuzz::SweepStats stats =
+  std::vector<Failure<ServeFuzzCase>> failures;
+  const SweepStats stats =
       fuzzer.Systematic(/*seed=*/1, kTestCandidates, &failures);
   EXPECT_GT(stats.cases, 0u);
   std::string detail;
-  for (const ServeFuzzFailure& f : failures) {
-    detail += std::string(ServeFailureKindName(f.result.failure)) + ": " +
+  for (const Failure<ServeFuzzCase>& f : failures) {
+    detail += std::string(FailureKindName(f.result.failure)) + ": " +
               f.result.detail + "\n";
   }
   EXPECT_EQ(stats.failures, 0u) << detail;
@@ -45,8 +48,8 @@ TEST(ServeFuzzerTest, CrashBetweenFirstAndLastLocalCompleteRecovers) {
   c.apply_ordinal = 0;
   for (const bool survive : {false, true}) {
     c.lines_survive = survive;
-    const ServeCaseResult r = fuzzer.Run(c);
-    EXPECT_TRUE(r.ok()) << ServeFailureKindName(r.failure) << ": " << r.detail;
+    const CaseResult r = fuzzer.Run(c);
+    EXPECT_TRUE(r.ok()) << FailureKindName(r.failure) << ": " << r.detail;
   }
 }
 
@@ -54,31 +57,31 @@ TEST(ServeFuzzerTest, CatchesBrokenTxnRedo) {
   ServeFuzzConfig config;
   config.break_txn_redo = true;
   ServeFuzzer fuzzer(config);
-  std::vector<ServeFuzzFailure> failures;
-  const fuzz::SweepStats stats =
+  std::vector<Failure<ServeFuzzCase>> failures;
+  const SweepStats stats =
       fuzzer.Systematic(/*seed=*/1, kTestCandidates, &failures);
   EXPECT_GT(stats.failures, 0u)
       << "scrubbing intents without redo must tear the MultiPut";
   bool saw_torn_txn = false;
-  for (const ServeFuzzFailure& f : failures) {
-    saw_torn_txn |= f.result.failure == ServeFailureKind::kTornTxn;
+  for (const Failure<ServeFuzzCase>& f : failures) {
+    saw_torn_txn |= f.result.failure == FailureKind::kTornTxn;
   }
   EXPECT_TRUE(saw_torn_txn);
 }
 
 TEST(ServeFuzzerTest, CatchesSkippedRecoveryReplay) {
   ServeFuzzConfig config;
-  config.skip_recovery_replay = true;
+  config.break_recovery = true;
   ServeFuzzer fuzzer(config);
-  std::vector<ServeFuzzFailure> failures;
-  const fuzz::SweepStats stats =
+  std::vector<Failure<ServeFuzzCase>> failures;
+  const SweepStats stats =
       fuzzer.Systematic(/*seed=*/1, kTestCandidates, &failures);
   EXPECT_GT(stats.failures, 0u)
       << "skipping the recovery replay must leave the open put durable";
   bool saw_uncommitted = false;
-  for (const ServeFuzzFailure& f : failures) {
+  for (const Failure<ServeFuzzCase>& f : failures) {
     saw_uncommitted |=
-        f.result.failure == ServeFailureKind::kUncommittedDurable;
+        f.result.failure == FailureKind::kUncommittedDurable;
   }
   EXPECT_TRUE(saw_uncommitted);
 }
@@ -87,14 +90,14 @@ TEST(ServeFuzzerTest, CatchesDisabledPpo) {
   ServeFuzzConfig config;
   config.enforce_ppo = false;
   ServeFuzzer fuzzer(config);
-  std::vector<ServeFuzzFailure> failures;
-  const fuzz::SweepStats stats =
+  std::vector<Failure<ServeFuzzCase>> failures;
+  const SweepStats stats =
       fuzzer.Systematic(/*seed=*/1, kTestCandidates, &failures);
   EXPECT_GT(stats.failures, 0u)
       << "the naive offload must violate the Section 4 invariants";
   bool saw_ppo = false;
-  for (const ServeFuzzFailure& f : failures) {
-    saw_ppo |= f.result.failure == ServeFailureKind::kPpoViolation;
+  for (const Failure<ServeFuzzCase>& f : failures) {
+    saw_ppo |= f.result.failure == FailureKind::kPpoViolation;
   }
   EXPECT_TRUE(saw_ppo);
 }
@@ -102,7 +105,7 @@ TEST(ServeFuzzerTest, CatchesDisabledPpo) {
 TEST(ServeFuzzerTest, ReproRoundTripsThroughCorpusFormat) {
   ServeFuzzConfig config;
   config.shards = 3;
-  config.skip_recovery_replay = true;
+  config.break_recovery = true;
   ServeFuzzer fuzzer(config);
 
   ServeFuzzCase c;
@@ -114,21 +117,23 @@ TEST(ServeFuzzerTest, ReproRoundTripsThroughCorpusFormat) {
   c.crash_offset = 321;
   c.lines_survive = true;
 
-  const fuzz::CrashRepro repro = fuzzer.ToRepro(c, "violation", "unit test");
-  const std::string json = fuzz::ReproToJson(repro);
-  auto parsed = fuzz::ReproFromJson(json);
+  const CrashRepro repro = fuzzer.ToRepro(c, "violation", "unit test");
+  const std::string json = ReproToJson(repro);
+  auto parsed = ReproFromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->kind, "serve");
+  EXPECT_EQ(ReproToJson(*parsed), json);
 
-  const ServeFuzzConfig config2 = ServeFuzzer::ConfigFromRepro(*parsed);
+  const ServeRepro* serve = ScenarioOf<ServeRepro>(*parsed);
+  ASSERT_NE(serve, nullptr);
+  const ServeFuzzConfig& config2 = serve->config;
   EXPECT_EQ(config2.shards, config.shards);
   EXPECT_EQ(config2.mode, config.mode);
   EXPECT_EQ(config2.enforce_ppo, config.enforce_ppo);
-  EXPECT_EQ(config2.skip_recovery_replay, config.skip_recovery_replay);
+  EXPECT_EQ(config2.break_recovery, config.break_recovery);
   EXPECT_EQ(config2.break_txn_redo, config.break_txn_redo);
 
-  auto c2 = ServeFuzzer::CaseFromRepro(*parsed);
-  ASSERT_TRUE(c2.ok()) << c2.status().ToString();
+  const ServeFuzzCase* c2 = &serve->fuzz_case;
   EXPECT_EQ(c2->seed, c.seed);
   EXPECT_EQ(c2->warmup_ops, c.warmup_ops);
   EXPECT_EQ(c2->txn_pairs, c.txn_pairs);
@@ -137,37 +142,40 @@ TEST(ServeFuzzerTest, ReproRoundTripsThroughCorpusFormat) {
   EXPECT_EQ(c2->crash_offset, c.crash_offset);
   EXPECT_EQ(c2->lines_survive, c.lines_survive);
 
-  const std::string name = fuzz::ReproFileName(repro);
+  const std::string name = ReproFileName(repro);
   EXPECT_EQ(name, "serve_nearpm_md_skiprec_s9_mid_apply1_surv.json");
 }
 
 TEST(ServeFuzzerTest, BankReproFilesStayByteIdentical) {
-  // The serve extension must not disturb the bank corpus format: a repro
+  // The serve scenario must not disturb the bank corpus format: a repro
   // without a "kind" field parses as bank and re-serializes identically.
-  fuzz::CrashRepro repro;
-  repro.seed = 3;
-  repro.total_ops = 6;
-  repro.crash_step = 2;
-  const std::string json = fuzz::ReproToJson(repro);
+  FuzzCase c;
+  c.seed = 3;
+  c.total_ops = 6;
+  c.crash_step = 2;
+  const CrashRepro repro = CrashFuzzer(FuzzConfig{}).ToRepro(c, "recoverable",
+                                                             "");
+  const std::string json = ReproToJson(repro);
   EXPECT_EQ(json.find("serve"), std::string::npos);
-  auto parsed = fuzz::ReproFromJson(json);
+  auto parsed = ReproFromJson(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->kind, "bank");
-  EXPECT_EQ(fuzz::ReproToJson(*parsed), json);
+  EXPECT_EQ(ReproToJson(*parsed), json);
 }
 
 TEST(ServeFuzzerTest, PhaseNamesRoundTrip) {
+  const NameTable<TxnStopPhase>& names = TxnStopPhaseNames();
   for (TxnStopPhase phase :
        {TxnStopPhase::kNone, TxnStopPhase::kAfterIntent,
         TxnStopPhase::kMidApply, TxnStopPhase::kAfterApply,
         TxnStopPhase::kAfterSync}) {
-    auto parsed = ServeFuzzer::PhaseFromName(ServeFuzzer::PhaseName(phase));
-    ASSERT_TRUE(parsed.ok());
+    const auto parsed = names.Parse(names.Name(phase));
+    ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, phase);
   }
-  EXPECT_FALSE(ServeFuzzer::PhaseFromName("bogus").ok());
+  EXPECT_FALSE(names.Parse("bogus").has_value());
 }
 
 }  // namespace
-}  // namespace serve
+}  // namespace fuzz
 }  // namespace nearpm

@@ -1,20 +1,19 @@
 // src/trace subsystem tests: recorder order/epoch/ring semantics, the
 // metrics registry, and the Chrome trace-event exporter. The exporter output
-// is schema-checked with a small JSON parser over the trace of a real
-// simulated run (the same WriteChromeTrace path --trace-out uses), so a
-// regression in the emitted JSON fails here rather than in Perfetto.
+// is schema-checked through the common strict JSON reader over the trace of
+// a real simulated run (the same WriteChromeTrace path --trace-out uses), so
+// a regression in the emitted JSON fails here rather than in Perfetto.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/rng.h"
 #include "src/core/runtime.h"
 #include "src/trace/chrome_exporter.h"
@@ -24,224 +23,6 @@
 
 namespace nearpm {
 namespace {
-
-// ---- Minimal JSON model + recursive-descent parser --------------------------
-// Only what the schema check needs; rejects anything malformed.
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string str;
-  std::vector<Json> arr;
-  std::map<std::string, Json> obj;
-
-  bool is(Type t) const { return type == t; }
-  const Json* Find(const std::string& key) const {
-    auto it = obj.find(key);
-    return it == obj.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool Parse(Json* out) {
-    SkipWs();
-    if (!ParseValue(out)) {
-      return false;
-    }
-    SkipWs();
-    return pos_ == s_.size();
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool Literal(const char* lit) {
-    std::size_t n = 0;
-    while (lit[n] != '\0') {
-      if (pos_ + n >= s_.size() || s_[pos_ + n] != lit[n]) {
-        return false;
-      }
-      ++n;
-    }
-    pos_ += n;
-    return true;
-  }
-  bool ParseValue(Json* out) {
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    switch (s_[pos_]) {
-      case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
-      case '"':
-        out->type = Json::Type::kString;
-        return ParseString(&out->str);
-      case 't':
-        out->type = Json::Type::kBool;
-        out->boolean = true;
-        return Literal("true");
-      case 'f':
-        out->type = Json::Type::kBool;
-        out->boolean = false;
-        return Literal("false");
-      case 'n':
-        out->type = Json::Type::kNull;
-        return Literal("null");
-      default:
-        return ParseNumber(out);
-    }
-  }
-  bool ParseString(std::string* out) {
-    if (s_[pos_] != '"') {
-      return false;
-    }
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) {
-          return false;
-        }
-        char esc = s_[pos_++];
-        switch (esc) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'n': out->push_back('\n'); break;
-          case 'r': out->push_back('\r'); break;
-          case 't': out->push_back('\t'); break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) {
-              return false;
-            }
-            for (int i = 0; i < 4; ++i) {
-              if (!std::isxdigit(static_cast<unsigned char>(s_[pos_ + i]))) {
-                return false;
-              }
-            }
-            pos_ += 4;
-            out->push_back('?');  // codepoint value irrelevant to the schema
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos_ >= s_.size()) {
-      return false;
-    }
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool ParseNumber(Json* out) {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return false;
-    }
-    try {
-      out->number = std::stod(s_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    out->type = Json::Type::kNumber;
-    return true;
-  }
-  bool ParseArray(Json* out) {
-    out->type = Json::Type::kArray;
-    ++pos_;  // '['
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      Json elem;
-      if (!ParseValue(&elem)) {
-        return false;
-      }
-      out->arr.push_back(std::move(elem));
-      SkipWs();
-      if (pos_ >= s_.size()) {
-        return false;
-      }
-      if (s_[pos_] == ',') {
-        ++pos_;
-        SkipWs();
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool ParseObject(Json* out) {
-    out->type = Json::Type::kObject;
-    ++pos_;  // '{'
-    SkipWs();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (pos_ >= s_.size() || !ParseString(&key)) {
-        return false;
-      }
-      SkipWs();
-      if (pos_ >= s_.size() || s_[pos_] != ':') {
-        return false;
-      }
-      ++pos_;
-      SkipWs();
-      Json value;
-      if (!ParseValue(&value)) {
-        return false;
-      }
-      out->obj.emplace(std::move(key), std::move(value));
-      SkipWs();
-      if (pos_ >= s_.size()) {
-        return false;
-      }
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 TraceEvent Instant(TracePhase phase, std::uint32_t pid, std::uint32_t tid,
                    SimTime ts) {
@@ -375,14 +156,14 @@ TEST(MetricsRegistryTest, ReportAndJsonRoundTrip) {
   EXPECT_NE(report.find("requests_issued"), std::string::npos);
   EXPECT_NE(report.find("unit_exec"), std::string::npos);
 
-  Json root;
-  ASSERT_TRUE(JsonParser(metrics.ToJson()).Parse(&root)) << metrics.ToJson();
-  const Json* counters = root.Find("counters");
+  const StatusOr<JsonValue> root = ParseJson(metrics.ToJson());
+  ASSERT_TRUE(root.ok()) << root.status().ToString() << metrics.ToJson();
+  const JsonValue* counters = root->Find("counters");
   ASSERT_NE(counters, nullptr);
-  const Json* issued = counters->Find("requests_issued");
+  const JsonValue* issued = counters->Find("requests_issued");
   ASSERT_NE(issued, nullptr);
   EXPECT_EQ(issued->number, 5.0);
-  const Json* latencies = root.Find("latencies_ns");
+  const JsonValue* latencies = root->Find("latencies_ns");
   ASSERT_NE(latencies, nullptr);
   EXPECT_NE(latencies->Find("unit_exec"), nullptr);
 }
@@ -499,36 +280,36 @@ TEST(ChromeExporterTest, EmitsSchemaValidTraceForARealRun) {
   std::ostringstream os;
   WriteChromeTrace(recorder, os);
 
-  Json root;
-  ASSERT_TRUE(JsonParser(os.str()).Parse(&root));
-  ASSERT_TRUE(root.is(Json::Type::kObject));
-  const Json* unit = root.Find("displayTimeUnit");
+  const StatusOr<JsonValue> root = ParseJson(os.str());
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  ASSERT_EQ(root->kind, JsonValue::Kind::kObject);
+  const JsonValue* unit = root->Find("displayTimeUnit");
   ASSERT_NE(unit, nullptr);
   EXPECT_EQ(unit->str, "ns");
 
-  const Json* events = root.Find("traceEvents");
+  const JsonValue* events = root->Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_TRUE(events->is(Json::Type::kArray));
-  ASSERT_FALSE(events->arr.empty());
+  ASSERT_TRUE(events->kind == JsonValue::Kind::kArray);
+  ASSERT_FALSE(events->items.empty());
 
   std::set<std::string> names;
   std::size_t spans = 0;
   std::size_t instants = 0;
   std::size_t metadata = 0;
   std::size_t counters = 0;
-  for (const Json& e : events->arr) {
-    ASSERT_TRUE(e.is(Json::Type::kObject));
-    const Json* name = e.Find("name");
-    const Json* ph = e.Find("ph");
-    const Json* pid = e.Find("pid");
-    const Json* tid = e.Find("tid");
+  for (const JsonValue& e : events->items) {
+    ASSERT_TRUE(e.kind == JsonValue::Kind::kObject);
+    const JsonValue* name = e.Find("name");
+    const JsonValue* ph = e.Find("ph");
+    const JsonValue* pid = e.Find("pid");
+    const JsonValue* tid = e.Find("tid");
     ASSERT_NE(name, nullptr);
     ASSERT_NE(ph, nullptr);
     ASSERT_NE(pid, nullptr);
     ASSERT_NE(tid, nullptr);
-    ASSERT_TRUE(name->is(Json::Type::kString));
-    ASSERT_TRUE(pid->is(Json::Type::kNumber));
-    ASSERT_TRUE(tid->is(Json::Type::kNumber));
+    ASSERT_TRUE(name->kind == JsonValue::Kind::kString);
+    ASSERT_TRUE(pid->is_number());
+    ASSERT_TRUE(tid->is_number());
     ASSERT_TRUE(ph->str == "X" || ph->str == "i" || ph->str == "M" ||
                 ph->str == "C")
         << "unexpected phase " << ph->str;
@@ -536,37 +317,37 @@ TEST(ChromeExporterTest, EmitsSchemaValidTraceForARealRun) {
       // Counter-track samples: occupancy series Perfetto renders as graphs.
       ++counters;
       names.insert(name->str);
-      const Json* args = e.Find("args");
+      const JsonValue* args = e.Find("args");
       ASSERT_NE(args, nullptr);
-      const Json* value = args->Find("value");
+      const JsonValue* value = args->Find("value");
       ASSERT_NE(value, nullptr);
-      ASSERT_TRUE(value->is(Json::Type::kNumber));
+      ASSERT_TRUE(value->is_number());
       EXPECT_GE(value->number, 0.0);
       continue;
     }
     if (ph->str == "M") {
       ++metadata;
       EXPECT_TRUE(name->str == "process_name" || name->str == "thread_name");
-      const Json* args = e.Find("args");
+      const JsonValue* args = e.Find("args");
       ASSERT_NE(args, nullptr);
-      const Json* label = args->Find("name");
+      const JsonValue* label = args->Find("name");
       ASSERT_NE(label, nullptr);
       EXPECT_FALSE(label->str.empty());
       continue;
     }
     names.insert(name->str);
-    const Json* ts = e.Find("ts");
+    const JsonValue* ts = e.Find("ts");
     ASSERT_NE(ts, nullptr);
-    ASSERT_TRUE(ts->is(Json::Type::kNumber));
+    ASSERT_TRUE(ts->is_number());
     EXPECT_GE(ts->number, 0.0);
     if (ph->str == "X") {
       ++spans;
-      const Json* dur = e.Find("dur");
+      const JsonValue* dur = e.Find("dur");
       ASSERT_NE(dur, nullptr);
       EXPECT_GT(dur->number, 0.0);
     } else {
       ++instants;
-      const Json* scope = e.Find("s");
+      const JsonValue* scope = e.Find("s");
       ASSERT_NE(scope, nullptr);
     }
   }
@@ -598,16 +379,16 @@ TEST(ChromeExporterTest, LaysEpochsOutSequentially) {
 
   std::ostringstream os;
   WriteChromeTrace(events, os);
-  Json root;
-  ASSERT_TRUE(JsonParser(os.str()).Parse(&root));
-  const Json* trace_events = root.Find("traceEvents");
+  const StatusOr<JsonValue> root = ParseJson(os.str());
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  const JsonValue* trace_events = root->Find("traceEvents");
   ASSERT_NE(trace_events, nullptr);
 
   double write_ts = -1;
   double fence_ts = -1;
-  for (const Json& e : trace_events->arr) {
-    const Json* name = e.Find("name");
-    const Json* ts = e.Find("ts");
+  for (const JsonValue& e : trace_events->items) {
+    const JsonValue* name = e.Find("name");
+    const JsonValue* ts = e.Find("ts");
     if (name == nullptr || ts == nullptr) {
       continue;
     }
@@ -632,9 +413,9 @@ TEST(ChromeExporterTest, WritesFileAndReportsIoFailure) {
   ASSERT_TRUE(in.good());
   std::stringstream buffer;
   buffer << in.rdbuf();
-  Json root;
-  EXPECT_TRUE(JsonParser(buffer.str()).Parse(&root));
-  EXPECT_NE(root.Find("traceEvents"), nullptr);
+  const StatusOr<JsonValue> root = ParseJson(buffer.str());
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  EXPECT_NE(root->Find("traceEvents"), nullptr);
 
   EXPECT_FALSE(WriteChromeTraceFile(
       recorder, "/nonexistent-nearpm-dir/trace.json"));

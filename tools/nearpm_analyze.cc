@@ -41,12 +41,11 @@
 #include "src/analyze/sanitizer.h"
 #include "src/analyze/trace_analyzer.h"
 #include "src/core/runtime.h"
-#include "src/fuzz/corpus.h"
-#include "src/fuzz/crash_fuzzer.h"
+#include "src/common/files.h"
+#include "src/fuzz/repro.h"
 #include "src/prof/raw_trace.h"
-#include "src/repl/repl_fuzzer.h"
-#include "src/serve/serve_fuzzer.h"
 #include "src/workloads/workload.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace {
@@ -70,25 +69,6 @@ struct CliOptions {
   std::string bench_json;
   bool quiet = false;
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -150,12 +130,12 @@ std::string BenchJson(const CliOptions& cli, const analyze::PmSanitizer& san,
 // like main; `sim_ns` receives the final simulated time.
 int RunWorkloadAnalyzed(const CliOptions& cli, analyze::PmSanitizer* san,
                         SimTime* sim_ns) {
-  const auto mechanism = fuzz::MechanismFromName(cli.mechanism);
+  const auto mechanism = MechanismFromName(cli.mechanism);
   if (!mechanism.ok()) {
     std::fprintf(stderr, "unknown mechanism %s\n", cli.mechanism.c_str());
     return 2;
   }
-  const auto mode = fuzz::ExecModeFromName(cli.mode);
+  const auto mode = ExecModeFromName(cli.mode);
   if (!mode.ok()) {
     std::fprintf(stderr, "unknown mode %s\n", cli.mode.c_str());
     return 2;
@@ -208,21 +188,13 @@ int RunWorkloadAnalyzed(const CliOptions& cli, analyze::PmSanitizer* san,
   return 0;
 }
 
-// Replays every repro in the corpus through the rule engine.
-//
-// Bank-kind repros attach the sanitizer to the single simulated machine
-// directly. Serve- and repl-kind repros run one runtime per shard/node, so
-// the single-address-space sanitizer cannot span them live; instead the
-// fuzzer deposits each machine's trace snapshot (trace_sink) and one fresh
-// sanitizer replays each snapshot offline -- the same trace path as
-// --trace-in.
-//
-// Policy: the replay verdict must match the recorded expectation; sound
-// repros (PPO enforced, recovery/redo intact, persists intact) must be
-// analyzer-clean; enforce_ppo=false repros must fire at least one finding;
-// repl repros with repl_skip_redo_persist must fire NPM007 (teeth).
+// Replays every repro in the corpus through the rule engine under the one
+// analyzer corpus policy (fuzz::AnalyzeRepro): the bank scenario attaches
+// the sanitizer live; serve and repl run one runtime per node, so each
+// node's trace snapshot replays through it instead -- the same trace path
+// as --trace-in.
 int RunCorpus(const CliOptions& cli) {
-  const std::vector<std::string> files = fuzz::ListCorpus(cli.corpus);
+  const std::vector<std::string> files = ListCorpus(cli.corpus);
   if (files.empty()) {
     std::fprintf(stderr, "no corpus files under %s\n", cli.corpus.c_str());
     return 1;
@@ -242,91 +214,29 @@ int RunCorpus(const CliOptions& cli) {
     for (const std::string& spec : cli.suppressions) {
       san.sink().Suppress(spec);
     }
-    bool run_ok = false;
-    std::string verdict_name;
-    // Soundness beyond the shared enforce_ppo/break_recovery fields: the
-    // kind-specific ablations that legitimately make traces hazardous.
-    bool redo_persist_broken = false;
-    if (repro->kind == "serve") {
-      std::vector<std::vector<TraceEvent>> traces;
-      serve::ServeFuzzConfig config =
-          serve::ServeFuzzer::ConfigFromRepro(*repro);
-      config.trace_sink = &traces;
-      const serve::ServeFuzzer fuzzer(config);
-      auto c = serve::ServeFuzzer::CaseFromRepro(*repro);
-      if (!c.ok()) {
-        std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
-                     c.status().ToString().c_str());
-        ++failures;
-        continue;
-      }
-      const serve::ServeCaseResult result = fuzzer.Run(*c);
-      run_ok = result.ok();
-      verdict_name = serve::ServeFailureKindName(result.failure);
-      // One shard = one address space = one rule-engine replay; findings
-      // accumulate in the shared sink.
-      for (const std::vector<TraceEvent>& trace : traces) {
-        analyze::AnalyzeTrace(trace, &san);
-      }
-    } else if (repro->kind == "repl") {
-      std::vector<std::vector<TraceEvent>> traces;
-      repl::ReplFuzzConfig config = repl::ReplFuzzer::ConfigFromRepro(*repro);
-      config.trace_sink = &traces;
-      redo_persist_broken = config.skip_redo_persist;
-      const repl::ReplFuzzer fuzzer(config);
-      auto c = repl::ReplFuzzer::CaseFromRepro(*repro);
-      if (!c.ok()) {
-        std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
-                     c.status().ToString().c_str());
-        ++failures;
-        continue;
-      }
-      const repl::ReplCaseResult result = fuzzer.Run(*c);
-      run_ok = result.ok();
-      verdict_name = repl::ReplFailureKindName(result.failure);
-      for (const std::vector<TraceEvent>& trace : traces) {
-        analyze::AnalyzeTrace(trace, &san);
-      }
-    } else {
-      fuzz::FuzzConfig config = fuzz::CrashFuzzer::ConfigFromRepro(*repro);
-      config.sanitizer = &san;
-      const fuzz::CrashFuzzer fuzzer(config);
-      const fuzz::CaseResult result =
-          fuzzer.Run(fuzz::CrashFuzzer::CaseFromRepro(*repro));
-      run_ok = result.ok();
-      verdict_name = fuzz::FailureKindName(result.failure);
-    }
+    const fuzz::AnalyzerVerdict verdict = fuzz::AnalyzeRepro(*repro, &san);
     ++replayed;
-
-    const bool expects_violation = repro->expect == "violation";
-    if (run_ok == expects_violation) {
-      std::fprintf(stderr, "FAIL %s: replay verdict %s does not match "
-                   "expect=%s\n", path.c_str(),
-                   run_ok ? "ok" : verdict_name.c_str(),
+    if (!verdict.matches_expectation) {
+      std::fprintf(stderr,
+                   "FAIL %s: replay verdict %s does not match "
+                   "expect=%s\n",
+                   path.c_str(),
+                   verdict.result.ok()
+                       ? "ok"
+                       : fuzz::FailureKindName(verdict.result.failure),
                    repro->expect.c_str());
       ++failures;
       continue;
     }
-
-    const std::uint64_t findings = san.sink().total_unsuppressed();
-    const bool sound =
-        repro->enforce_ppo && !repro->break_recovery && !redo_persist_broken;
-    const char* verdict = "ok";
-    if (sound && findings > 0) {
-      verdict = "FAIL (findings on a sound repro)";
-      ++failures;
-    } else if (!repro->enforce_ppo && findings == 0) {
-      verdict = "FAIL (no finding on an enforce_ppo=false repro)";
-      ++failures;
-    } else if (redo_persist_broken &&
-               san.sink().count(analyze::RuleId::kNpm007) == 0) {
-      verdict = "FAIL (no NPM007 on a skip_redo_persist repro)";
+    const bool ok = verdict.policy == "ok";
+    if (!ok) {
       ++failures;
     }
-    if (!cli.quiet || std::strcmp(verdict, "ok") != 0) {
-      std::printf("%-6s %s: %llu finding(s)\n", verdict, path.c_str(),
-                  static_cast<unsigned long long>(findings));
-      if (findings > 0 && !cli.quiet) {
+    if (!cli.quiet || !ok) {
+      std::printf("%-6s %s: %llu finding(s)\n", verdict.policy.c_str(),
+                  path.c_str(),
+                  static_cast<unsigned long long>(verdict.findings));
+      if (verdict.findings > 0 && !cli.quiet) {
         std::fputs(san.sink().RenderText().c_str(), stdout);
       }
     }
@@ -349,11 +259,9 @@ int AnalyzeMain(int argc, char** argv) {
     } else if (MatchFlag(argv[i], "--ops", &value)) {
       if (!ParseUint(value, &cli.ops)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--threads", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.threads = static_cast<int>(n);
+      if (!ParseCount(value, &cli.threads)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--units", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.units = static_cast<int>(n);
+      if (!ParseCount(value, &cli.units)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--initial-keys", &value)) {
       if (!ParseUint(value, &cli.initial_keys)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--seed", &value)) {

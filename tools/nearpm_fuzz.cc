@@ -31,10 +31,11 @@
 #include <string>
 #include <vector>
 
-#include "src/fuzz/corpus.h"
+#include "src/common/files.h"
 #include "src/fuzz/crash_fuzzer.h"
-#include "src/repl/repl_fuzzer.h"
-#include "src/serve/serve_fuzzer.h"
+#include "src/fuzz/repl_fuzzer.h"
+#include "src/fuzz/repro.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace fuzz {
@@ -64,32 +65,6 @@ struct CliOptions {
   bool break_intent_redo = false;
   bool skip_redo_persist = false;
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) {
-    return false;
-  }
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -127,10 +102,29 @@ void PrintCase(const char* tag, const FuzzCase& c, const CaseResult& r) {
               r.detail.c_str());
 }
 
-struct Combo {
-  Mechanism mechanism;
-  ExecMode mode;
-};
+// Saves `repro` under --out (when set) and reports where it went.
+void SaveToOut(const CliOptions& cli, const CrashRepro& repro) {
+  if (cli.out_dir.empty()) {
+    return;
+  }
+  const StatusOr<std::string> path = SaveRepro(repro, cli.out_dir);
+  if (path.ok()) {
+    std::printf("  repro: %s\n", path->c_str());
+  } else {
+    std::fprintf(stderr, "  cannot save repro: %s\n",
+                 path.status().ToString().c_str());
+  }
+}
+
+// A sweep that enumerated nothing proves nothing: a broken case generator
+// must not pass as a green run.
+bool RanCases(const SweepStats& total) {
+  if (total.cases == 0) {
+    std::fprintf(stderr, "the sweep enumerated no cases\n");
+    return false;
+  }
+  return true;
+}
 
 int ReplayCorpus(const CliOptions& cli) {
   const std::vector<std::string> files = ListCorpus(cli.corpus_dir);
@@ -147,51 +141,15 @@ int ReplayCorpus(const CliOptions& cli) {
       ++bad;
       continue;
     }
-    bool run_ok = false;
-    const char* got = "";
-    std::string detail;
-    if (repro->kind == "serve") {
-      serve::ServeFuzzer fuzzer(serve::ServeFuzzer::ConfigFromRepro(*repro));
-      auto c = serve::ServeFuzzer::CaseFromRepro(*repro);
-      if (!c.ok()) {
-        std::printf("ERROR %s: %s\n", path.c_str(),
-                    c.status().ToString().c_str());
-        ++bad;
-        continue;
-      }
-      const serve::ServeCaseResult r = fuzzer.Run(*c);
-      run_ok = r.ok();
-      got = serve::ServeFailureKindName(r.failure);
-      detail = r.detail;
-    } else if (repro->kind == "repl") {
-      repl::ReplFuzzer fuzzer(repl::ReplFuzzer::ConfigFromRepro(*repro));
-      auto c = repl::ReplFuzzer::CaseFromRepro(*repro);
-      if (!c.ok()) {
-        std::printf("ERROR %s: %s\n", path.c_str(),
-                    c.status().ToString().c_str());
-        ++bad;
-        continue;
-      }
-      const repl::ReplCaseResult r = fuzzer.Run(*c);
-      run_ok = r.ok();
-      got = repl::ReplFailureKindName(r.failure);
-      detail = r.detail;
-    } else {
-      CrashFuzzer fuzzer(CrashFuzzer::ConfigFromRepro(*repro));
-      const FuzzCase c = CrashFuzzer::CaseFromRepro(*repro);
-      const CaseResult r = fuzzer.Run(c);
-      run_ok = r.ok();
-      got = FailureKindName(r.failure);
-      detail = r.detail;
-    }
-    const bool want_failure = repro->expect == "violation";
-    const bool pass = want_failure ? !run_ok : run_ok;
+    const CaseResult r = ReplayRepro(*repro);
+    const bool pass = MatchesExpectation(*repro, r);
     std::printf("%s %s (%s/%s expect=%s got=%s)\n", pass ? "OK  " : "FAIL",
                 path.c_str(), MechanismName(repro->mechanism),
-                ExecModeName(repro->mode), repro->expect.c_str(), got);
+                ExecModeName(repro->mode), repro->expect.c_str(),
+                FailureKindName(r.failure));
     if (!pass) {
-      if (!detail.empty()) {
-        std::printf("  %s\n", detail.c_str());
+      if (!r.detail.empty()) {
+        std::printf("  %s\n", r.detail.c_str());
       }
       ++bad;
     }
@@ -207,8 +165,7 @@ int ReplayCorpus(const CliOptions& cli) {
 int RunReplSweep(const CliOptions& cli) {
   std::vector<repl::ReplProtocol> protocols;
   if (cli.protocol == "all") {
-    protocols = {repl::ReplProtocol::kPrimaryBackup,
-                 repl::ReplProtocol::kOneSidedRedo};
+    protocols = repl::ReplProtocolNames().All();
   } else {
     auto p = repl::ReplProtocolFromName(cli.protocol);
     if (!p.ok()) {
@@ -221,17 +178,17 @@ int RunReplSweep(const CliOptions& cli) {
   SweepStats total;
   int configs_with_failures = 0;
   for (const repl::ReplProtocol protocol : protocols) {
-    repl::ReplFuzzConfig config;
+    ReplFuzzConfig config;
     config.groups = cli.repl_groups;
     config.replicas = cli.repl_replicas;
     config.protocol = protocol;
     config.enforce_ppo = cli.enforce_ppo;
-    config.skip_recovery_replay = cli.break_recovery;
+    config.break_recovery = cli.break_recovery;
     config.break_intent_redo = cli.break_intent_redo;
     config.skip_redo_persist = cli.skip_redo_persist;
-    repl::ReplFuzzer fuzzer(config);
+    ReplFuzzer fuzzer(config);
 
-    std::vector<repl::ReplFuzzFailure> failures;
+    std::vector<Failure<ReplFuzzCase>> failures;
     const SweepStats stats = fuzzer.Systematic(cli.first_seed, &failures);
     total.cases += stats.cases;
     total.failures += stats.failures;
@@ -242,7 +199,7 @@ int RunReplSweep(const CliOptions& cli) {
                 repl::ReplProtocolName(protocol), cli.repl_groups,
                 cli.repl_replicas, stats.cases, stats.failures);
     int shown = 0;
-    for (const repl::ReplFuzzFailure& f : failures) {
+    for (const Failure<ReplFuzzCase>& f : failures) {
       if (shown >= cli.max_shrinks) {
         std::printf("  (%zu more failures not shown)\n",
                     failures.size() - static_cast<std::size_t>(shown));
@@ -252,29 +209,20 @@ int RunReplSweep(const CliOptions& cli) {
       std::printf("  FAIL seed=%" PRIu64 " phase=%s ordinal=%d mask=%" PRIu64
                   " %s: %s: %s\n",
                   f.fuzz_case.seed,
-                  repl::ReplFuzzer::PhaseName(f.fuzz_case.phase),
+                  ReplStopPhaseNames().Name(f.fuzz_case.phase),
                   f.fuzz_case.ordinal, f.fuzz_case.crash_mask,
                   f.fuzz_case.lines_survive ? "surv" : "drop",
-                  repl::ReplFailureKindName(f.result.failure),
-                  f.result.detail.c_str());
-      if (!cli.out_dir.empty()) {
-        const CrashRepro repro =
-            fuzzer.ToRepro(f.fuzz_case, "violation", f.result.detail);
-        const std::string path = cli.out_dir + "/" + ReproFileName(repro);
-        const Status saved = SaveRepro(repro, path);
-        if (saved.ok()) {
-          std::printf("  repro: %s\n", path.c_str());
-        } else {
-          std::fprintf(stderr, "  cannot save repro: %s\n",
-                       saved.ToString().c_str());
-        }
-      }
+                  FailureKindName(f.result.failure), f.result.detail.c_str());
+      SaveToOut(cli, fuzzer.ToRepro(f.fuzz_case, "violation", f.result.detail));
     }
   }
 
   std::printf("total: %" PRIu64 " cases, %" PRIu64
               " failures across %zu protocol(s)\n",
               total.cases, total.failures, protocols.size());
+  if (!RanCases(total)) {
+    return 1;
+  }
   if (cli.expect_failures) {
     if (configs_with_failures == static_cast<int>(protocols.size())) {
       return 0;
@@ -296,34 +244,32 @@ int FuzzMain(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
-    if (MatchFlag(arg, "--seeds", &value) && value != nullptr) {
+    if (MatchFlag(arg, "--seeds", &value)) {
       if (!ParseUint(value, &cli.seeds)) return Usage(argv[0]);
-    } else if (MatchFlag(arg, "--first-seed", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--first-seed", &value)) {
       if (!ParseUint(value, &cli.first_seed)) return Usage(argv[0]);
-    } else if (MatchFlag(arg, "--cases-per-seed", &value) && value != nullptr) {
-      std::uint64_t n = 0;
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.cases_per_seed = static_cast<int>(n);
-    } else if (MatchFlag(arg, "--systematic", &value)) {
+    } else if (MatchFlag(arg, "--cases-per-seed", &value)) {
+      if (!ParseCount(value, &cli.cases_per_seed)) return Usage(argv[0]);
+    } else if (MatchFlagOrBare(arg, "--systematic", &value)) {
       cli.systematic_ops = 6;
       if (value != nullptr && !ParseUint(value, &cli.systematic_ops)) {
         return Usage(argv[0]);
       }
-    } else if (MatchFlag(arg, "--max-candidates", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--max-candidates", &value)) {
       std::uint64_t n = 0;
       if (!ParseUint(value, &n)) return Usage(argv[0]);
       cli.max_candidates = static_cast<std::size_t>(n);
-    } else if (MatchFlag(arg, "--mechanism", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--mechanism", &value)) {
       cli.mechanism = value;
-    } else if (MatchFlag(arg, "--mode", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--mode", &value)) {
       cli.mode = value;
-    } else if (MatchFlag(arg, "--enforce-ppo", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--enforce-ppo", &value)) {
       cli.enforce_ppo = std::strcmp(value, "0") != 0;
-    } else if (MatchFlag(arg, "--break-recovery", &value)) {
+    } else if (MatchFlagOrBare(arg, "--break-recovery", &value)) {
       cli.break_recovery = true;
-    } else if (MatchFlag(arg, "--expect-failures", &value)) {
+    } else if (MatchFlagOrBare(arg, "--expect-failures", &value)) {
       cli.expect_failures = true;
-    } else if (MatchFlag(arg, "--replay", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--replay", &value)) {
       const char* colon = std::strchr(value, ':');
       if (colon == nullptr) return Usage(argv[0]);
       const std::string seed_text(value, colon);
@@ -332,25 +278,25 @@ int FuzzMain(int argc, char** argv) {
         return Usage(argv[0]);
       }
       cli.have_replay = true;
-    } else if (MatchFlag(arg, "--corpus", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--corpus", &value)) {
       cli.corpus_dir = value;
-    } else if (MatchFlag(arg, "--out", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--out", &value)) {
       cli.out_dir = value;
-    } else if (MatchFlag(arg, "--repl", &value)) {
+    } else if (MatchFlagOrBare(arg, "--repl", &value)) {
       cli.repl = true;
-    } else if (MatchFlag(arg, "--protocol", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--protocol", &value)) {
       cli.protocol = value;
-    } else if (MatchFlag(arg, "--repl-groups", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--repl-groups", &value)) {
       std::uint64_t n = 0;
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
+      if (!ParseUint(value, &n) || n == 0 || n > 64) return Usage(argv[0]);
       cli.repl_groups = static_cast<int>(n);
-    } else if (MatchFlag(arg, "--repl-replicas", &value) && value != nullptr) {
+    } else if (MatchFlag(arg, "--repl-replicas", &value)) {
       std::uint64_t n = 0;
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
+      if (!ParseUint(value, &n) || n == 0 || n > 64) return Usage(argv[0]);
       cli.repl_replicas = static_cast<int>(n);
-    } else if (MatchFlag(arg, "--break-intent-redo", &value)) {
+    } else if (MatchFlagOrBare(arg, "--break-intent-redo", &value)) {
       cli.break_intent_redo = true;
-    } else if (MatchFlag(arg, "--skip-redo-persist", &value)) {
+    } else if (MatchFlagOrBare(arg, "--skip-redo-persist", &value)) {
       cli.skip_redo_persist = true;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg);
@@ -367,8 +313,7 @@ int FuzzMain(int argc, char** argv) {
 
   std::vector<Mechanism> mechanisms;
   if (cli.mechanism == "all") {
-    mechanisms = {Mechanism::kLogging, Mechanism::kRedoLogging,
-                  Mechanism::kCheckpointing, Mechanism::kShadowPaging};
+    mechanisms = MechanismNames().All();
   } else {
     auto m = MechanismFromName(cli.mechanism);
     if (!m.ok()) {
@@ -379,8 +324,7 @@ int FuzzMain(int argc, char** argv) {
   }
   std::vector<ExecMode> modes;
   if (cli.mode == "all") {
-    modes = {ExecMode::kCpuBaseline, ExecMode::kNdpSingleDevice,
-             ExecMode::kNdpMultiSwSync, ExecMode::kNdpMultiDelayed};
+    modes = ExecModeNames().All();
   } else {
     auto m = ExecModeFromName(cli.mode);
     if (!m.ok()) {
@@ -403,7 +347,7 @@ int FuzzMain(int argc, char** argv) {
       config.break_recovery = cli.break_recovery;
       CrashFuzzer fuzzer(config);
 
-      std::vector<FuzzFailure> failures;
+      std::vector<Failure<FuzzCase>> failures;
       SweepStats stats;
       if (cli.have_replay) {
         const FuzzCase c =
@@ -412,22 +356,14 @@ int FuzzMain(int argc, char** argv) {
         ++stats.cases;
         if (!r.ok()) {
           ++stats.failures;
-          failures.push_back(FuzzFailure{c, r});
+          failures.push_back(Failure<FuzzCase>{c, r});
         }
         PrintCase(r.ok() ? "ok" : "FAIL", c, r);
-        if (!cli.out_dir.empty() && r.ok()) {
+        if (r.ok()) {
           // A green replayed case saved explicitly becomes a regression
           // anchor: the corpus test keeps proving it recovers cleanly.
-          const CrashRepro repro = fuzzer.ToRepro(c, "recoverable",
-                                                  "sweep regression anchor");
-          const std::string path = cli.out_dir + "/" + ReproFileName(repro);
-          const Status saved = SaveRepro(repro, path);
-          if (saved.ok()) {
-            std::printf("  repro: %s\n", path.c_str());
-          } else {
-            std::fprintf(stderr, "  cannot save repro: %s\n",
-                         saved.ToString().c_str());
-          }
+          SaveToOut(cli, fuzzer.ToRepro(c, "recoverable",
+                                        "sweep regression anchor"));
         }
       } else {
         if (cli.systematic_ops > 0) {
@@ -454,7 +390,7 @@ int FuzzMain(int argc, char** argv) {
                   MechanismName(mech), ExecModeName(mode), stats.cases,
                   stats.failures);
       int shrunk = 0;
-      for (const FuzzFailure& f : failures) {
+      for (const Failure<FuzzCase>& f : failures) {
         if (shrunk >= cli.max_shrinks) {
           std::printf("  (%zu more failures not shown)\n",
                       failures.size() - static_cast<std::size_t>(shrunk));
@@ -465,17 +401,9 @@ int FuzzMain(int argc, char** argv) {
         CaseResult min_result;
         const FuzzCase minimal = fuzzer.Shrink(f.fuzz_case, &min_result);
         PrintCase("  min", minimal, min_result);
-        if (!cli.out_dir.empty() && !min_result.ok()) {
-          const CrashRepro repro =
-              fuzzer.ToRepro(minimal, "violation", min_result.detail);
-          const std::string path = cli.out_dir + "/" + ReproFileName(repro);
-          const Status saved = SaveRepro(repro, path);
-          if (saved.ok()) {
-            std::printf("  repro: %s\n", path.c_str());
-          } else {
-            std::fprintf(stderr, "  cannot save repro: %s\n",
-                         saved.ToString().c_str());
-          }
+        if (!min_result.ok()) {
+          SaveToOut(cli,
+                    fuzzer.ToRepro(minimal, "violation", min_result.detail));
         }
       }
     }
@@ -484,6 +412,9 @@ int FuzzMain(int argc, char** argv) {
   std::printf("total: %" PRIu64 " cases, %" PRIu64
               " failures across %d configurations\n",
               total.cases, total.failures, configs);
+  if (!RanCases(total)) {
+    return 1;
+  }
   if (cli.expect_failures) {
     // Teeth check: every configuration must have tripped the oracle.
     if (configs_with_failures == configs) {

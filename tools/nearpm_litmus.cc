@@ -25,17 +25,14 @@
 // catch a divergent implementation.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/common/files.h"
 #include "src/spec/conformance.h"
 #include "src/spec/litmus.h"
 #include "src/spec/model.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace spec {
@@ -59,32 +56,6 @@ struct CliOptions {
   std::uint64_t max_shrinks = 2;
 };
 
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) {
-    return false;
-  }
-  if (arg[len] == '\0') {
-    *value = nullptr;
-    return true;
-  }
-  if (arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--generate] [--corpus=DIR] [--replay=FILE]\n"
@@ -97,90 +68,36 @@ int Usage(const char* argv0) {
   return 2;
 }
 
-std::string SanitizeFileName(std::string name) {
-  for (char& c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_';
-    if (!ok) {
-      c = '_';
-    }
-  }
-  return name;
-}
-
-bool WriteRepro(const std::string& dir, const LitmusRepro& repro) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  const std::string path = dir + "/" + SanitizeFileName(repro.name) + "-" +
-                           DisagreementKindName(repro.kind) + ".json";
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << repro.Write();
-  std::printf("  wrote %s\n", path.c_str());
-  return true;
-}
-
-int ReplayOne(const std::filesystem::path& path, std::uint64_t* failures) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot read %s\n", path.string().c_str());
-    ++*failures;
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const StatusOr<LitmusRepro> repro = LitmusRepro::Parse(buffer.str());
+// Replays one repro file; returns whether it still holds.
+bool ReplayOne(const std::string& path) {
+  const StatusOr<LitmusRepro> repro = LoadLitmusRepro(path);
   if (!repro.ok()) {
-    std::fprintf(stderr, "%s: %s\n", path.string().c_str(),
-                 repro.status().ToString().c_str());
-    ++*failures;
-    return 1;
+    std::fprintf(stderr, "%s\n", repro.status().ToString().c_str());
+    return false;
   }
   const Status status = ReplayLitmusRepro(*repro);
   if (!status.ok()) {
-    std::printf("FAIL  %s: %s\n", path.string().c_str(),
-                status.ToString().c_str());
-    ++*failures;
-    return 1;
+    std::printf("FAIL  %s: %s\n", path.c_str(), status.ToString().c_str());
+    return false;
   }
-  std::printf("ok    %s (%s, %s)\n", path.string().c_str(),
-              repro->name.c_str(), DisagreementKindName(repro->kind));
-  return 0;
+  std::printf("ok    %s (%s, %s)\n", path.c_str(), repro->name.c_str(),
+              DisagreementKindName(repro->kind));
+  return true;
 }
 
 int RunCorpus(const CliOptions& cli) {
+  const std::vector<std::string> files =
+      cli.replay_file.empty() ? ListCorpus(cli.corpus_dir)
+                              : std::vector<std::string>{cli.replay_file};
   std::uint64_t failures = 0;
-  std::uint64_t replayed = 0;
-  if (!cli.replay_file.empty()) {
-    ++replayed;
-    ReplayOne(cli.replay_file, &failures);
-  } else {
-    std::error_code ec;
-    std::vector<std::filesystem::path> files;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(cli.corpus_dir, ec)) {
-      if (entry.path().extension() == ".json") {
-        files.push_back(entry.path());
-      }
-    }
-    if (ec) {
-      std::fprintf(stderr, "cannot list %s: %s\n", cli.corpus_dir.c_str(),
-                   ec.message().c_str());
-      return 2;
-    }
-    std::sort(files.begin(), files.end());
-    for (const auto& path : files) {
-      ++replayed;
-      ReplayOne(path, &failures);
+  for (const std::string& path : files) {
+    if (!ReplayOne(path)) {
+      ++failures;
     }
   }
-  std::printf("litmus corpus: %llu replayed, %llu failed\n",
-              static_cast<unsigned long long>(replayed),
+  std::printf("litmus corpus: %zu replayed, %llu failed\n", files.size(),
               static_cast<unsigned long long>(failures));
-  if (replayed == 0) {
+  if (files.empty()) {
     std::fprintf(stderr, "no repro files found\n");
     return 2;
   }
@@ -252,7 +169,13 @@ int RunConformance(const CliOptions& cli) {
           }
         }
         if (!cli.out_dir.empty()) {
-          WriteRepro(cli.out_dir, MakeRepro(small, config, kept));
+          const StatusOr<std::string> path =
+              SaveLitmusRepro(MakeRepro(small, config, kept), cli.out_dir);
+          if (path.ok()) {
+            std::printf("  wrote %s\n", path->c_str());
+          } else {
+            std::fprintf(stderr, "%s\n", path.status().ToString().c_str());
+          }
         }
       }
       break;  // one disagreeing leg per program is enough signal
@@ -293,39 +216,35 @@ int Main(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    if (MatchFlag(argv[i], "--generate", &value)) {
+    if (MatchFlagOrBare(argv[i], "--generate", &value)) {
       cli.generate = true;
-    } else if (MatchFlag(argv[i], "--corpus", &value) && value != nullptr) {
+    } else if (MatchFlag(argv[i], "--corpus", &value)) {
       cli.corpus_dir = value;
-    } else if (MatchFlag(argv[i], "--replay", &value) && value != nullptr) {
+    } else if (MatchFlag(argv[i], "--replay", &value)) {
       cli.replay_file = value;
-    } else if (MatchFlag(argv[i], "--seed", &value) && value != nullptr) {
+    } else if (MatchFlag(argv[i], "--seed", &value)) {
       if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--count", &value) && value != nullptr) {
+    } else if (MatchFlag(argv[i], "--count", &value)) {
       if (!ParseUint(value, &cli.count)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--systematic", &value)) {
+    } else if (MatchFlagOrBare(argv[i], "--systematic", &value)) {
       cli.systematic = true;
-    } else if (MatchFlag(argv[i], "--enforce", &value) && value != nullptr) {
+    } else if (MatchFlag(argv[i], "--enforce", &value)) {
       cli.enforce = value;
-    } else if (MatchFlag(argv[i], "--mutate-spec", &value) &&
-               value != nullptr) {
+    } else if (MatchFlag(argv[i], "--mutate-spec", &value)) {
       cli.mutate_spec = value;
-    } else if (MatchFlag(argv[i], "--weaken-checker", &value) &&
-               value != nullptr) {
+    } else if (MatchFlag(argv[i], "--weaken-checker", &value)) {
       if (!ParseUint(value, &cli.weaken_checker)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--expect-disagreements", &value)) {
+    } else if (MatchFlagOrBare(argv[i], "--expect-disagreements", &value)) {
       cli.expect_disagreements = true;
-    } else if (MatchFlag(argv[i], "--out", &value) && value != nullptr) {
+    } else if (MatchFlag(argv[i], "--out", &value)) {
       cli.out_dir = value;
-    } else if (MatchFlag(argv[i], "--max-candidates", &value) &&
-               value != nullptr) {
+    } else if (MatchFlag(argv[i], "--max-candidates", &value)) {
       if (!ParseUint(value, &cli.max_candidates)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--max-masks", &value) && value != nullptr) {
+    } else if (MatchFlag(argv[i], "--max-masks", &value)) {
       if (!ParseUint(value, &cli.max_masks)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--no-recovery", &value)) {
+    } else if (MatchFlagOrBare(argv[i], "--no-recovery", &value)) {
       cli.recovery = false;
-    } else if (MatchFlag(argv[i], "--max-shrinks", &value) &&
-               value != nullptr) {
+    } else if (MatchFlag(argv[i], "--max-shrinks", &value)) {
       if (!ParseUint(value, &cli.max_shrinks)) return Usage(argv[0]);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", argv[i]);

@@ -62,6 +62,7 @@
 #include "src/common/stats.h"
 #include "src/obs/slo.h"
 #include "src/serve/service.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace serve {
@@ -400,16 +401,6 @@ void AppendHist(std::string* out, const LoopResult& r) {
   }
 }
 
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
 bool ParseDouble(const char* text, double* out) {
   char* end = nullptr;
   const double v = std::strtod(text, &end);
@@ -417,15 +408,6 @@ bool ParseDouble(const char* text, double* out) {
     return false;
   }
   *out = v;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
   return true;
 }
 

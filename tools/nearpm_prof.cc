@@ -32,12 +32,13 @@
 #include <vector>
 
 #include "src/core/runtime.h"
-#include "src/fuzz/corpus.h"
+#include "src/pmlib/provider.h"
 #include "src/prof/profile.h"
 #include "src/prof/raw_trace.h"
 #include "src/prof/report.h"
 #include "src/trace/chrome_exporter.h"
 #include "src/workloads/workload.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace {
@@ -60,25 +61,6 @@ struct CliOptions {
   std::string raw_out;
   std::string trace_out;
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -130,12 +112,12 @@ std::string ConfigJson(const CliOptions& cli) {
 // harness's measurement loop (setup excluded from nothing here: the profile
 // wants the whole run, setup included, since attribution is per-request).
 int RunWorkloadTraced(CliOptions& cli, std::vector<TraceEvent>* events) {
-  const auto mechanism = fuzz::MechanismFromName(cli.mechanism);
+  const auto mechanism = MechanismFromName(cli.mechanism);
   if (!mechanism.ok()) {
     std::fprintf(stderr, "unknown mechanism %s\n", cli.mechanism.c_str());
     return 2;
   }
-  const auto mode = fuzz::ExecModeFromName(cli.mode);
+  const auto mode = ExecModeFromName(cli.mode);
   if (!mode.ok()) {
     std::fprintf(stderr, "unknown mode %s\n", cli.mode.c_str());
     return 2;
@@ -204,7 +186,6 @@ int ProfMain(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    std::uint64_t n = 0;
     if (MatchFlag(argv[i], "--workload", &value)) {
       cli.workload = value;
     } else if (MatchFlag(argv[i], "--mechanism", &value)) {
@@ -214,11 +195,9 @@ int ProfMain(int argc, char** argv) {
     } else if (MatchFlag(argv[i], "--ops", &value)) {
       if (!ParseUint(value, &cli.ops)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--threads", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.threads = static_cast<int>(n);
+      if (!ParseCount(value, &cli.threads)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--units", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.units = static_cast<int>(n);
+      if (!ParseCount(value, &cli.units)) return Usage(argv[0]);
       cli.units_given = true;
     } else if (MatchFlag(argv[i], "--hw-config", &value)) {
       cli.hw_config = value;

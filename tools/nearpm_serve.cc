@@ -37,6 +37,7 @@
 
 #include "src/repl/service.h"
 #include "src/serve/service.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace serve {
@@ -54,25 +55,6 @@ struct CliOptions {
   int replicas = 1;
   std::string protocol = "pb";
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
-  return true;
-}
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -263,18 +245,15 @@ int ServeMain(int argc, char** argv) {
     const char* value = nullptr;
     std::uint64_t n = 0;
     if (MatchFlag(argv[i], "--shards", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.shards = static_cast<int>(n);
+      if (!ParseCount(value, &cli.shards)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--workers", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.workers = static_cast<int>(n);
+      if (!ParseCount(value, &cli.workers)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--requests", &value)) {
       if (!ParseUint(value, &cli.requests)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--multiput-every", &value)) {
       if (!ParseUint(value, &cli.multiput_every)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--batch", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.batch = static_cast<int>(n);
+      if (!ParseCount(value, &cli.batch)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--queue", &value)) {
       if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
       cli.queue = static_cast<std::size_t>(n);
@@ -283,8 +262,7 @@ int ServeMain(int argc, char** argv) {
     } else if (MatchFlag(argv[i], "--metrics-out", &value)) {
       cli.metrics_out = value;
     } else if (MatchFlag(argv[i], "--replicas", &value)) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.replicas = static_cast<int>(n);
+      if (!ParseCount(value, &cli.replicas)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--protocol", &value)) {
       cli.protocol = value;
     } else {

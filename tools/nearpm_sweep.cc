@@ -33,10 +33,11 @@
 #include <vector>
 
 #include "src/core/runtime.h"
-#include "src/fuzz/corpus.h"
+#include "src/pmlib/provider.h"
 #include "src/hwmodel/hw_config.h"
 #include "src/prof/profile.h"
 #include "src/workloads/workload.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace {
@@ -77,16 +78,6 @@ struct Cell {
     return buf;
   }
 };
-
-bool ParseUint(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') {
-    return false;
-  }
-  *out = v;
-  return true;
-}
 
 bool ParseDoubleList(const char* text, std::vector<double>* out) {
   out->clear();
@@ -317,42 +308,32 @@ int SweepMain(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
-    std::uint64_t n = 0;
-    const auto match = [&](const char* name) {
-      const std::size_t len = std::strlen(name);
-      if (std::strncmp(argv[i], name, len) != 0 || argv[i][len] != '=') {
-        return false;
-      }
-      value = argv[i] + len + 1;
-      return true;
-    };
-    if (match("--workloads")) {
+    if (MatchFlag(argv[i], "--workloads", &value)) {
       cli.workloads = SplitNames(value);
       if (cli.workloads.empty()) return Usage(argv[0]);
-    } else if (match("--mechanism")) {
+    } else if (MatchFlag(argv[i], "--mechanism", &value)) {
       cli.mechanism = value;
-    } else if (match("--mode")) {
+    } else if (MatchFlag(argv[i], "--mode", &value)) {
       cli.mode = value;
-    } else if (match("--ops")) {
+    } else if (MatchFlag(argv[i], "--ops", &value)) {
       if (!ParseUint(value, &cli.ops) || cli.ops == 0) return Usage(argv[0]);
-    } else if (match("--threads")) {
-      if (!ParseUint(value, &n) || n == 0) return Usage(argv[0]);
-      cli.threads = static_cast<int>(n);
-    } else if (match("--units")) {
+    } else if (MatchFlag(argv[i], "--threads", &value)) {
+      if (!ParseCount(value, &cli.threads)) return Usage(argv[0]);
+    } else if (MatchFlag(argv[i], "--units", &value)) {
       if (!ParseIntList(value, &cli.units)) return Usage(argv[0]);
-    } else if (match("--fifo")) {
+    } else if (MatchFlag(argv[i], "--fifo", &value)) {
       if (!ParseIntList(value, &cli.fifo)) return Usage(argv[0]);
-    } else if (match("--axi-gbps")) {
+    } else if (MatchFlag(argv[i], "--axi-gbps", &value)) {
       if (!ParseDoubleList(value, &cli.axi_gbps)) return Usage(argv[0]);
-    } else if (match("--base-config")) {
+    } else if (MatchFlag(argv[i], "--base-config", &value)) {
       cli.base_config = value;
-    } else if (match("--json-out")) {
+    } else if (MatchFlag(argv[i], "--json-out", &value)) {
       cli.json_out = value;
-    } else if (match("--csv-out")) {
+    } else if (MatchFlag(argv[i], "--csv-out", &value)) {
       cli.csv_out = value;
-    } else if (match("--initial-keys")) {
+    } else if (MatchFlag(argv[i], "--initial-keys", &value)) {
       if (!ParseUint(value, &cli.initial_keys)) return Usage(argv[0]);
-    } else if (match("--seed")) {
+    } else if (MatchFlag(argv[i], "--seed", &value)) {
       if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       cli.quiet = true;
@@ -362,12 +343,12 @@ int SweepMain(int argc, char** argv) {
     }
   }
 
-  const auto mechanism = fuzz::MechanismFromName(cli.mechanism);
+  const auto mechanism = MechanismFromName(cli.mechanism);
   if (!mechanism.ok()) {
     std::fprintf(stderr, "unknown mechanism %s\n", cli.mechanism.c_str());
     return 2;
   }
-  const auto mode = fuzz::ExecModeFromName(cli.mode);
+  const auto mode = ExecModeFromName(cli.mode);
   if (!mode.ok()) {
     std::fprintf(stderr, "unknown mode %s\n", cli.mode.c_str());
     return 2;

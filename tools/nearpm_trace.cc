@@ -39,10 +39,12 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/obs/flight_recorder.h"
 #include "src/prof/raw_trace.h"
 #include "src/prof/request_timeline.h"
 #include "src/trace/trace_event.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace {
@@ -58,44 +60,40 @@ bool LookupPhase(const char* name, TracePhase* out) {
   return false;
 }
 
-// Parses the dump's header object: schema check, source labels, and the
-// alert payload when one is embedded (it is the header's last field, so its
-// text runs to the header's closing brace).
+// Reads the dump's header object: schema check, source labels, and the
+// alert payload when one is embedded (kept as its own JSON text).
 bool ParseFlightHeader(const std::string& line,
                        std::vector<std::string>* labels,
                        std::string* alert_json, std::string* error) {
-  const std::string want_schema =
-      std::string("\"schema\":\"") + obs::kFlightSchema + "\"";
-  if (line.find(want_schema) == std::string::npos) {
+  const StatusOr<JsonValue> header = ParseJson(line);
+  if (!header.ok()) {
+    *error = "header: " + header.status().message();
+    return false;
+  }
+  const JsonValue* schema = header->Find("schema");
+  if (schema == nullptr || schema->str != obs::kFlightSchema) {
     *error = "header does not carry schema \"" +
              std::string(obs::kFlightSchema) + "\"";
     return false;
   }
-  const std::string sources_key = "\"sources\":[";
-  const std::size_t pos = line.find(sources_key);
-  if (pos == std::string::npos) {
+  const JsonValue* sources = header->Find("sources");
+  if (sources == nullptr || sources->kind != JsonValue::Kind::kArray) {
     *error = "header has no sources array";
     return false;
   }
-  for (std::size_t i = pos + sources_key.size();
-       i < line.size() && line[i] != ']';) {
-    if (line[i] != '"') {
-      ++i;
-      continue;
-    }
-    const std::size_t end = line.find('"', i + 1);
-    if (end == std::string::npos) {
-      *error = "unterminated source label";
+  for (const JsonValue& label : sources->items) {
+    if (label.kind != JsonValue::Kind::kString) {
+      *error = "source labels must be strings";
       return false;
     }
-    labels->push_back(line.substr(i + 1, end - i - 1));
-    i = end + 1;
+    labels->push_back(label.str);
   }
-  const std::string alert_key = "\"alert\":";
-  const std::size_t apos = line.find(alert_key);
-  if (apos != std::string::npos && !line.empty() && line.back() == '}') {
-    const std::size_t begin = apos + alert_key.size();
-    *alert_json = line.substr(begin, line.size() - 1 - begin);
+  if (const JsonValue* alert = header->Find("alert"); alert != nullptr) {
+    if (alert->kind != JsonValue::Kind::kObject) {
+      *error = "header alert must be an object";
+      return false;
+    }
+    *alert_json = line.substr(alert->begin, alert->end - alert->begin);
   }
   return true;
 }
@@ -189,30 +187,20 @@ bool LoadRawTrace(const std::string& spec,
 // The slowest request named by the alert: first entry of its "slow" array
 // (WindowStats keeps it sorted, worst first).
 bool SlowestFromAlert(const std::string& alert_json, std::uint64_t* out) {
-  const std::size_t slow = alert_json.find("\"slow\":[");
-  if (slow == std::string::npos) {
+  const StatusOr<JsonValue> alert = ParseJson(alert_json);
+  if (!alert.ok()) {
     return false;
   }
-  const std::size_t trace = alert_json.find("\"trace\":", slow);
-  if (trace == std::string::npos) {
+  const JsonValue* slow = alert->Find("slow");
+  if (slow == nullptr || slow->items.empty()) {
     return false;
   }
-  char* end = nullptr;
-  const char* begin = alert_json.c_str() + trace + 8;
-  const unsigned long long id = std::strtoull(begin, &end, 10);
-  if (end == begin || id == 0) {
+  const JsonValue* trace = slow->items.front().Find("trace");
+  if (trace == nullptr || trace->kind != JsonValue::Kind::kUint ||
+      trace->uint == 0) {
     return false;
   }
-  *out = id;
-  return true;
-}
-
-bool MatchFlag(const char* arg, const char* name, const char** value) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') {
-    return false;
-  }
-  *value = arg + len + 1;
+  *out = trace->uint;
   return true;
 }
 
@@ -290,12 +278,8 @@ int Run(int argc, char** argv) {
       std::fprintf(stderr, "no alert with a slow-request list loaded\n");
       return 1;
     }
-  } else {
-    char* end = nullptr;
-    trace_id = std::strtoull(request.c_str(), &end, 10);
-    if (end == request.c_str() || *end != '\0' || trace_id == 0) {
-      return Usage(argv[0]);
-    }
+  } else if (!ParseUint(request.c_str(), &trace_id) || trace_id == 0) {
+    return Usage(argv[0]);
   }
 
   const RequestTimeline timeline = BuildRequestTimeline(sources, trace_id);
