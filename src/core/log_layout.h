@@ -40,7 +40,7 @@ struct alignas(64) SlotHeader {
   std::uint64_t tag = 0;       // transaction id or checkpoint epoch
   std::uint64_t target = 0;    // address the payload restores to / applies to
   std::uint64_t size = 0;      // payload bytes
-  std::uint64_t checksum = 0;  // FNV-1a over the payload
+  std::uint64_t checksum = 0;  // Checksum64 of the payload
   std::uint8_t pad[24] = {};
 };
 static_assert(sizeof(SlotHeader) == 64);
@@ -103,7 +103,15 @@ class CcArea {
   PmAddr base_ = 0;
 };
 
-// FNV-1a, the payload checksum the metadata generator computes near memory.
+// The payload checksum the metadata generator computes near memory. It starts
+// at the FNV-1a offset basis and steps each 8-byte word w (host byte order)
+// as h = fold((h ^ w) * P), with P the 64-bit FNV prime and
+// fold(x) = x ^ (x >> 32); the 0-7 tail bytes then step h = (h ^ b) * P.
+// The fold is required: a multiply carries only upwards, so without it a
+// flip of bit 63 stays a flip of bit 63, and flipping the top bit of any two
+// words collides. Each step is a bijection of h, so payloads of one length
+// that differ in a single word reach different raw sums. A raw sum of 0 is
+// returned as 1: 0 marks a slot without a checksum.
 std::uint64_t Checksum64(std::span<const std::uint8_t> data);
 
 // Serializes a SlotHeader / TxRecord / SwitchRecord into raw bytes (they are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 
 #include "src/analyze/sanitizer.h"
 
@@ -13,16 +14,31 @@ namespace {
 // execution window on the device timeline.
 enum class ReqState { kDropped, kPartial, kDurable };
 
+// Zeroed media that the host never writes until the model does. calloc
+// serves requests above glibc's mmap threshold (at most 32 MB) from fresh
+// anonymous mappings, which the kernel zero-fills page by page on first
+// touch: a 512 MB space costs O(1) to build and its resident size follows
+// the PM actually touched. A smaller request may come from the heap, where
+// calloc may clear it eagerly.
+std::uint8_t* AllocateZeroedMedia(std::uint64_t size) {
+  void* media = std::calloc(std::max<std::uint64_t>(size, 1), 1);
+  if (media == nullptr) {
+    throw std::bad_alloc();
+  }
+  return static_cast<std::uint8_t*>(media);
+}
+
 }  // namespace
 
 PmSpace::PmSpace(const PmSpaceOptions& options)
     : options_(options),
       interleave_(options.num_devices, options.stripe),
-      current_(options.size, 0),
+      current_(AllocateZeroedMedia(options.size)),
+      size_(options.size),
       device_logs_(static_cast<size_t>(options.num_devices)) {}
 
 void PmSpace::CheckRange(PmAddr addr, std::uint64_t len) const {
-  assert(addr + len <= current_.size() && addr + len >= addr);
+  assert(addr + len <= size_ && addr + len >= addr);
   (void)addr;
   (void)len;
 }
@@ -33,7 +49,7 @@ void PmSpace::SnapshotPendingLine(PmAddr line_base) {
     return;  // pre-image already captured since the last persist
   }
   std::vector<std::uint8_t> old(kCacheLineSize);
-  std::memcpy(old.data(), current_.data() + line_base, kCacheLineSize);
+  std::memcpy(old.data(), current_.get() + line_base, kCacheLineSize);
   pending_.emplace(line_base, std::move(old));
 }
 
@@ -69,7 +85,7 @@ void PmSpace::CpuWrite(PmAddr addr, std::span<const std::uint8_t> data) {
       SnapshotPendingLine(line);
     }
   }
-  std::memcpy(current_.data() + addr, data.data(), data.size());
+  std::memcpy(current_.get() + addr, data.data(), data.size());
 }
 
 void PmSpace::CpuRead(PmAddr addr, std::span<std::uint8_t> out) {
@@ -77,7 +93,7 @@ void PmSpace::CpuRead(PmAddr addr, std::span<std::uint8_t> out) {
   // Observation ordering: a load that returns an NDP request's write is
   // ordered after that request's completion.
   ObserveRange(AddrRange{addr, addr + out.size()});
-  std::memcpy(out.data(), current_.data() + addr, out.size());
+  std::memcpy(out.data(), current_.get() + addr, out.size());
 }
 
 void PmSpace::CpuPersist(PmAddr addr, std::uint64_t size) {
@@ -129,7 +145,7 @@ void PmSpace::NdpWrite(DeviceId device, std::uint64_t request_seq, PmAddr addr,
   CheckRange(addr, data.size());
   assert(device < device_logs_.size());
   if (!options_.retain_crash_state) {
-    std::memcpy(current_.data() + addr, data.data(), data.size());
+    std::memcpy(current_.get() + addr, data.data(), data.size());
     return;
   }
   // The runtime persists CPU pending lines before issuing any NDP request
@@ -173,10 +189,9 @@ void PmSpace::NdpWrite(DeviceId device, std::uint64_t request_seq, PmAddr addr,
     LineEvent ev;
     ev.addr = cur;
     ev.len = static_cast<std::uint8_t>(n);
-    ev.old_bytes.assign(current_.begin() + static_cast<std::ptrdiff_t>(cur),
-                        current_.begin() + static_cast<std::ptrdiff_t>(cur + n));
+    ev.old_bytes.assign(current_.get() + cur, current_.get() + cur + n);
     rec->lines.push_back(std::move(ev));
-    std::memcpy(current_.data() + cur, data.data() + off, n);
+    std::memcpy(current_.get() + cur, data.data() + off, n);
     off += n;
   }
 }
@@ -332,7 +347,7 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
       ++report.cpu_lines_survived;
       survivor_lines.push_back(line);
     } else {
-      std::memcpy(current_.data() + line, old_bytes.data(), old_bytes.size());
+      std::memcpy(current_.get() + line, old_bytes.data(), old_bytes.size());
       ++report.cpu_lines_dropped;
     }
   }
@@ -483,7 +498,7 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
       }
       for (std::size_t j = rec.lines.size(); j > keep; --j) {
         const LineEvent& ev = rec.lines[j - 1];
-        std::memcpy(current_.data() + ev.addr, ev.old_bytes.data(), ev.len);
+        std::memcpy(current_.get() + ev.addr, ev.old_bytes.data(), ev.len);
       }
     }
     log.records.clear();

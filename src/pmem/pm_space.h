@@ -4,6 +4,7 @@
 // are durable at the instant of a failure*. It tracks three classes of state:
 //
 //  * `current_` -- the bytes program execution observes (loads return these).
+//    It starts as all zeros and is backed lazily: see the constructor.
 //  * CPU pending lines -- stores the CPU has issued but not yet persisted
 //    with clwb+fence. At a crash each pending line independently survives
 //    (happened to be written back on its own) or is dropped, modeling a real
@@ -35,8 +36,10 @@
 #define SRC_PMEM_PM_SPACE_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -105,9 +108,10 @@ struct PmSpaceOptions {
 
 class PmSpace {
  public:
+  // Throws std::bad_alloc when the media cannot be reserved.
   explicit PmSpace(const PmSpaceOptions& options);
 
-  std::uint64_t size() const { return current_.size(); }
+  std::uint64_t size() const { return size_; }
   const InterleaveMap& interleave() const { return interleave_; }
   bool retain_crash_state() const { return options_.retain_crash_state; }
 
@@ -134,7 +138,7 @@ class PmSpace {
   // read set explicitly before execution.
   void NdpRead(PmAddr addr, std::span<std::uint8_t> out) const {
     CheckRange(addr, out.size());
-    std::memcpy(out.data(), current_.data() + addr, out.size());
+    std::memcpy(out.data(), current_.get() + addr, out.size());
   }
 
   // Declares that `request_seq` on `device` reads `range`. Guards crash
@@ -230,9 +234,14 @@ class PmSpace {
   void RetireRecord(DeviceLog& log, RequestRecord& rec);
   void CompactLogs();
 
+  struct FreeMedia {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+
   PmSpaceOptions options_;
   InterleaveMap interleave_;
-  std::vector<std::uint8_t> current_;
+  std::unique_ptr<std::uint8_t[], FreeMedia> current_;
+  std::uint64_t size_ = 0;
   // line base address -> durable pre-image of the 64-byte line
   std::unordered_map<PmAddr, std::vector<std::uint8_t>> pending_;
   // line base -> latest in-flight request reading it (eviction ordering)

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -169,6 +171,43 @@ TEST(PmSpaceTest, PendingLinesInCountsLines) {
   space.CpuPersist(0, 64);
   EXPECT_EQ(space.PendingLinesIn({0, 200}), 3u);
   EXPECT_EQ(space.PendingLinesIn({0, 64}), 0u);
+}
+
+// ---- PmSpace: lazily backed media -------------------------------------------
+
+// Resident set size of this process: the second field of /proc/self/statm,
+// in pages.
+std::int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t total_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * sysconf(_SC_PAGESIZE);
+}
+
+TEST(PmSpaceTest, LargeSpaceIsBackedLazily) {
+  PmSpaceOptions o;
+  o.size = 512ull << 20;
+  const std::int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0) << "could not read /proc/self/statm";
+  PmSpace space(o);
+  EXPECT_LT(ResidentBytes() - before, static_cast<std::int64_t>(o.size / 4));
+
+  const std::vector<std::uint8_t> zeros(kCacheLineSize, 0);
+  const PmAddr last = o.size - kCacheLineSize;
+  std::vector<std::uint8_t> out(kCacheLineSize, 0xff);
+  space.CpuRead(0, out);
+  EXPECT_EQ(out, zeros);
+  space.CpuRead(last, out);
+  EXPECT_EQ(out, zeros);
+
+  space.CpuWrite(last, Pattern(kCacheLineSize, 3));
+  space.CpuRead(last, out);
+  EXPECT_EQ(out, Pattern(kCacheLineSize, 3));
+  const CrashReport report = space.Crash(CrashPlan{});  // every line lost
+  EXPECT_EQ(report.cpu_lines_dropped, 1u);
+  space.CpuRead(last, out);
+  EXPECT_EQ(out, zeros);
 }
 
 // ---- PmSpace: NDP requests --------------------------------------------------

@@ -3,7 +3,11 @@
 // atomicity, pool layout arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
+#include <set>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -92,6 +96,91 @@ TEST(ChecksumTest, NeverZeroAndSensitive) {
   std::vector<std::uint8_t> b{1, 2, 4};
   EXPECT_NE(Checksum64(a), Checksum64(b));
   EXPECT_EQ(Checksum64(a), Checksum64(a));
+  // One word equal to the FNV offset basis cancels the start state, so the
+  // raw sum is 0 and the never-0 guard must step in.
+  const std::uint64_t basis = 0xcbf29ce484222325ULL;
+  std::vector<std::uint8_t> zeroing(sizeof(basis));
+  std::memcpy(zeroing.data(), &basis, sizeof(basis));
+  EXPECT_NE(Checksum64(zeroing), 0u);
+}
+
+// The remaining checksum tests pin what recovery relies on -- a damaged
+// payload must fail its slot's checksum -- not particular sums.
+std::vector<std::uint8_t> PayloadBytes(std::size_t n, std::uint8_t seed) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(seed + 131 * i + (i >> 8));
+  }
+  return out;
+}
+
+// Two words laid out as payload bytes, in host byte order like Checksum64.
+std::vector<std::uint8_t> TwoWords(std::uint64_t w0, std::uint64_t w1) {
+  std::vector<std::uint8_t> out(2 * sizeof(std::uint64_t));
+  std::memcpy(out.data(), &w0, sizeof(w0));
+  std::memcpy(out.data() + sizeof(w0), &w1, sizeof(w1));
+  return out;
+}
+
+TEST(ChecksumTest, EverySingleBitFlipOfAPageChangesTheSum) {
+  std::vector<std::uint8_t> page = PayloadBytes(kMaxLogData, 7);
+  const std::uint64_t sum = Checksum64(page);
+  std::size_t unchanged = 0;
+  for (std::size_t bit = 0; bit < page.size() * 8; ++bit) {
+    page[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    unchanged += Checksum64(page) == sum ? 1 : 0;
+    page[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+  EXPECT_EQ(unchanged, 0u);
+}
+
+TEST(ChecksumTest, TopBitFlipsInTwoWordsDoNotCancel) {
+  // A plain 8-byte FNV-1a step (h = (h ^ w) * P) carries a flip of bit 63
+  // through the multiply as a flip of bit 63 alone, so two such flips cancel.
+  constexpr std::uint64_t kTop = 1ull << 63;
+  const std::uint64_t words[][2] = {
+      {0, 0}, {0x0123456789abcdefULL, 0xfedcba9876543210ULL}, {~0ull, 1}};
+  for (const auto& w : words) {
+    EXPECT_NE(Checksum64(TwoWords(w[0], w[1])),
+              Checksum64(TwoWords(w[0] ^ kTop, w[1] ^ kTop)))
+        << std::hex << w[0] << " " << w[1];
+  }
+}
+
+TEST(ChecksumTest, TornSlotImagesDoNotMatchTheFullPayload) {
+  // A slot overwritten in place, torn after each cacheline prefix: the image
+  // holds the new payload's first lines and the old payload's rest.
+  const std::vector<std::uint8_t> old_payload = PayloadBytes(kMaxLogData, 1);
+  const std::vector<std::uint8_t> new_payload = PayloadBytes(kMaxLogData, 2);
+  const std::uint64_t full = Checksum64(new_payload);
+  for (std::size_t lines = 1; lines < kMaxLogData / kCacheLineSize; ++lines) {
+    std::vector<std::uint8_t> torn = old_payload;
+    std::copy_n(new_payload.begin(), lines * kCacheLineSize, torn.begin());
+    EXPECT_NE(Checksum64(torn), full) << lines << " new lines";
+  }
+}
+
+TEST(ChecksumTest, EachLengthDiffersFromItsOneByteExtension) {
+  const std::vector<std::uint8_t> zeros(18, 0);
+  const std::vector<std::uint8_t> pattern = PayloadBytes(18, 3);
+  for (const std::vector<std::uint8_t>* bytes : {&zeros, &pattern}) {
+    const std::span<const std::uint8_t> all(*bytes);
+    for (std::size_t n = 0; n <= 17; ++n) {
+      EXPECT_NE(Checksum64(all.first(n)), Checksum64(all.first(n + 1)))
+          << "length " << n << ", first byte " << int{all[0]};
+    }
+  }
+}
+
+TEST(ChecksumTest, OneValueFillsOfALineAreDistinct) {
+  // The spec decoder names a slot payload by matching fill checksums.
+  std::set<std::uint64_t> sums;
+  for (int value = 0; value < 256; ++value) {
+    const std::vector<std::uint8_t> line(kCacheLineSize,
+                                         static_cast<std::uint8_t>(value));
+    sums.insert(Checksum64(line));
+  }
+  EXPECT_EQ(sums.size(), 256u);
 }
 
 // ---- Undo provider -------------------------------------------------------------
