@@ -14,6 +14,38 @@ namespace {
 // trace layer stays below pmem (the producer records the enum value).
 constexpr std::uint64_t kOutcomeDurable = 2;
 
+// Distinct non-empty address ranges ordered by (begin, end), each with a
+// summary of the spans recorded under it. A range overlapping a query ends
+// after the query's begin and is at most `max_len` long, so it begins less
+// than `max_len` bytes before the query: one lower_bound finds the first
+// candidate and the walk stops at the query's end.
+template <typename Summary>
+struct RangeIndex {
+  std::map<std::pair<PmAddr, PmAddr>, Summary> ranges;
+  std::uint64_t max_len = 0;
+
+  Summary& operator[](const AddrRange& r) {
+    max_len = std::max(max_len, r.size());
+    return ranges[{r.begin, r.end}];
+  }
+
+  // True iff `hit` holds for the summary of some range overlapping `q`.
+  template <typename Hit>
+  bool AnyOverlapping(const AddrRange& q, Hit hit) const {
+    if (q.empty()) {
+      return false;
+    }
+    const PmAddr from = q.begin > max_len ? q.begin - max_len : 0;
+    for (auto it = ranges.lower_bound({from, 0});
+         it != ranges.end() && it->first.first < q.end; ++it) {
+      if (it->first.second > q.begin && hit(it->second)) {
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
 struct EpochChecker {
   EpochChecker(std::size_t max, std::uint32_t disabled)
       : max_violations(max), disabled_mask(disabled) {}
@@ -31,15 +63,28 @@ struct EpochChecker {
   // seq -> true iff some device sampled a non-durable outcome at the crash.
   std::unordered_map<std::uint64_t, bool> any_non_durable;
 
+  // Exact existence index over `spans` (see the header): a scan below runs
+  // only when the index says it will report.
+  // Invariant 1: latest end of the spans writing each range.
+  RangeIndex<SimTime> write_ends;
+  // Invariant 2: ends of the unretired spans touching each range (write or
+  // read set), keyed back by retire key so a kRetire removes them.
+  RangeIndex<std::multiset<SimTime>> unretired_ends;
+  std::unordered_multimap<std::uint64_t, const TraceEvent*> unretired;
+  // Invariant 3: latest end of the kUnitExec spans.
+  SimTime unit_end = 0;
+  // Invariant 4: seq -> earliest order among its spans.
+  std::unordered_map<std::uint64_t, std::uint64_t> first_order;
+
   bool Full() const { return violations.size() >= max_violations; }
+
+  bool Enabled(int invariant) const {
+    return invariant < 1 || (disabled_mask & (1u << (invariant - 1))) == 0;
+  }
 
   void Add(int invariant, const TraceEvent& at, std::uint64_t seq,
            std::string detail) {
-    if (Full()) {
-      return;
-    }
-    if (invariant >= 1 &&
-        (disabled_mask & (1u << (invariant - 1))) != 0) {
+    if (Full() || !Enabled(invariant)) {
       return;
     }
     violations.push_back(
@@ -59,9 +104,10 @@ struct EpochChecker {
           CheckInvariant3(e);
         }
         spans.push_back(&e);
+        Index(e);
         break;
       case TracePhase::kRetire:
-        retired.insert(RetireKey(e.seq, e.pid));
+        Retire(RetireKey(e.seq, e.pid));
         break;
       case TracePhase::kCpuRead:
         CheckInvariant1(e);
@@ -87,9 +133,57 @@ struct EpochChecker {
     }
   }
 
+  void Index(const TraceEvent& s) {
+    if (!s.range.empty()) {
+      SimTime& end = write_ends[s.range];
+      end = std::max(end, s.end());
+    }
+    if (s.phase == TracePhase::kUnitExec) {
+      unit_end = std::max(unit_end, s.end());
+    }
+    auto [first, fresh] = first_order.emplace(s.seq, s.order);
+    if (!fresh) {
+      first->second = std::min(first->second, s.order);
+    }
+    // A span whose key already retired is ordered for good.
+    const std::uint64_t key = RetireKey(s.seq, s.pid);
+    if (retired.contains(key)) {
+      return;
+    }
+    unretired.emplace(key, &s);
+    for (const AddrRange* r : {&s.range, &s.range2}) {
+      if (!r->empty()) {
+        unretired_ends[*r].insert(s.end());
+      }
+    }
+  }
+
+  void Retire(std::uint64_t key) {
+    retired.insert(key);
+    const auto [first, last] = unretired.equal_range(key);
+    for (auto it = first; it != last; ++it) {
+      const TraceEvent& s = *it->second;
+      for (const AddrRange* r : {&s.range, &s.range2}) {
+        if (r->empty()) {
+          continue;
+        }
+        auto node = unretired_ends.ranges.find({r->begin, r->end});
+        node->second.erase(node->second.find(s.end()));
+        if (node->second.empty()) {
+          unretired_ends.ranges.erase(node);
+        }
+      }
+    }
+    unretired.erase(first, last);
+  }
+
   // Invariant 1: the load must not land inside the execution window of an
   // earlier-issued request that writes an overlapping range.
   void CheckInvariant1(const TraceEvent& read) {
+    const auto in_window = [&](SimTime end) { return read.ts < end; };
+    if (!Enabled(1) || !write_ends.AnyOverlapping(read.range, in_window)) {
+      return;
+    }
     for (const TraceEvent* s : spans) {
       if (s->range.Overlaps(read.range) && read.ts < s->end()) {
         Add(1, read, s->seq,
@@ -104,6 +198,13 @@ struct EpochChecker {
   // Invariant 2: a persist overlapping an in-flight request's operands must
   // have been ordered behind it (the request retired at queue acceptance).
   void CheckInvariant2(const TraceEvent& persist) {
+    const auto in_window = [&](const std::multiset<SimTime>& ends) {
+      return persist.ts < *ends.rbegin();
+    };
+    if (!Enabled(2) ||
+        !unretired_ends.AnyOverlapping(persist.range, in_window)) {
+      return;
+    }
     for (const TraceEvent* s : spans) {
       const bool overlap = s->range.Overlaps(persist.range) ||
                            s->range2.Overlaps(persist.range);
@@ -124,7 +225,7 @@ struct EpochChecker {
   void CheckInvariant3(const TraceEvent& del) {
     // The check is cross-device by nature; a single device orders same-
     // address work through its in-flight table already.
-    if (device_pids.size() < 2) {
+    if (device_pids.size() < 2 || !Enabled(3) || del.ts >= unit_end) {
       return;
     }
     for (const TraceEvent* s : spans) {
@@ -155,14 +256,8 @@ struct EpochChecker {
           "request seq=" + std::to_string(replay.seq) + " replayed twice");
       return;
     }
-    const TraceEvent* issued = nullptr;
-    for (const TraceEvent* s : spans) {
-      if (s->seq == replay.seq && s->order < crash->order) {
-        issued = s;
-        break;
-      }
-    }
-    if (issued == nullptr) {
+    const auto issued = first_order.find(replay.seq);
+    if (issued == first_order.end() || issued->second >= crash->order) {
       Add(4, replay, replay.seq,
           "replayed request seq=" + std::to_string(replay.seq) +
               " was never issued before the crash");

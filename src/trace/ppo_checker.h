@@ -28,6 +28,29 @@
 // "Issued before" always means the recorder's global order field (real
 // program order), never timestamp comparison -- per-thread virtual clocks
 // are mutually skewed by design.
+//
+// Cost. Each invariant is checked by a scan over the epoch's earlier exec
+// spans in issue order, and that scan is the only code that reports. Before
+// it runs, an exact existence index answers the scan's own predicate --
+// would any span make this event a violation? -- and the scan runs only on
+// a hit. The index is kept on address, not time (worker clocks drift far
+// apart, so a time window would prune little):
+//
+//  * I1: per distinct span write range, the latest end of its spans;
+//  * I2: per distinct write or read range, the ends of the unretired spans
+//    touching it. A kRetire removes its key's spans, and a span whose key
+//    already retired never enters, matching the scan's retire lookup;
+//  * I3: the latest kUnitExec end;
+//  * I4: each seq's earliest span order.
+//
+// Ranges are ordered by begin, so a read or persist visits only the ranges
+// that begin between one longest-indexed-range length before it and its
+// end. The index is neither looser nor tighter than the scan, so every hit
+// adds a violation (disabled invariants skip their query): at most
+// max_violations scans run, and a check costs O(E (log R + k) +
+// max_violations * S) instead of O(E * S), for E events, R distinct
+// ranges, k ranges visited per query and S spans. Violations, their order
+// and their text are the scan's by construction.
 #ifndef SRC_TRACE_PPO_CHECKER_H_
 #define SRC_TRACE_PPO_CHECKER_H_
 
