@@ -45,23 +45,7 @@ ReplRun RunRepl(int groups, int replicas, repl::ReplProtocol protocol,
   }
 
   for (std::uint64_t i = 0; i < requests; ++i) {
-    serve::ServeRequest req;
-    if (multiput_every > 0 && i % multiput_every == 0) {
-      req.kind = serve::RequestKind::kMultiPut;
-      for (std::uint64_t j = 0; j < 4; ++j) {
-        const std::uint64_t key = 100000 + i + j * 31;
-        req.pairs.push_back(
-            serve::KvPair{key, std::vector<std::uint8_t>(8, 1)});
-      }
-    } else if (i % 3 == 2) {
-      req.kind = serve::RequestKind::kGet;
-      req.key = i / 2;
-    } else {
-      req.kind = serve::RequestKind::kPut;
-      req.key = i;
-      req.value = std::vector<std::uint8_t>(8, 2);
-    }
-    if (!(*svc)->Submit(std::move(req)).ok()) {
+    if (!(*svc)->Submit(ServeMixRequest(i, multiput_every)).ok()) {
       (*svc)->Pump();  // backpressure: drain, then retry deterministically
       --i;
     }

@@ -8,9 +8,7 @@
 // path, so the committed baseline gates regressions exactly.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <chrono>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,27 +39,8 @@ ServeRun RunServe(int shards, int batch_max, std::uint64_t requests,
     std::abort();
   }
 
-  std::uint64_t submitted = 0;
   for (std::uint64_t i = 0; i < requests; ++i) {
-    serve::ServeRequest req;
-    if (multiput_every > 0 && i % multiput_every == 0) {
-      req.kind = serve::RequestKind::kMultiPut;
-      for (std::uint64_t j = 0; j < 4; ++j) {
-        const std::uint64_t key = 100000 + i + j * 31;
-        req.pairs.push_back(
-            serve::KvPair{key, std::vector<std::uint8_t>(8, 1)});
-      }
-    } else if (i % 3 == 2) {
-      req.kind = serve::RequestKind::kGet;
-      req.key = i / 2;
-    } else {
-      req.kind = serve::RequestKind::kPut;
-      req.key = i;
-      req.value = std::vector<std::uint8_t>(8, 2);
-    }
-    if ((*svc)->Submit(std::move(req)).ok()) {
-      ++submitted;
-    } else {
+    if (!(*svc)->Submit(ServeMixRequest(i, multiput_every)).ok()) {
       (*svc)->Pump();  // backpressure: drain, then retry deterministically
       --i;
     }
@@ -108,13 +87,10 @@ ServeRun RunThreadedServe(int shards, int clients,
   (*svc)->Start();
 
   const auto wall_start = std::chrono::steady_clock::now();
-  std::atomic<std::uint64_t> completed{0};
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&svc, &completed, c, requests_per_client] {
-      std::vector<std::future<serve::ServeResult>> futures;
-      futures.reserve(requests_per_client);
+    threads.emplace_back([&svc, c, requests_per_client] {
       for (std::uint64_t i = 0; i < requests_per_client; ++i) {
         serve::ServeRequest req;
         const std::uint64_t key =
@@ -135,10 +111,6 @@ ServeRun RunThreadedServe(int shards, int clients,
           }
           std::this_thread::yield();
         }
-      }
-      completed.fetch_add(requests_per_client, std::memory_order_relaxed);
-      for (auto& fut : futures) {
-        fut.get();
       }
     });
   }

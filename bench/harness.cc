@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/stats.h"
+#include "src/serve/front_end.h"
 #include "src/trace/chrome_exporter.h"
 
 namespace nearpm {
@@ -117,6 +118,26 @@ double MeanSpeedup(Mechanism mechanism, ExecMode mode, bool region_time,
     }
   }
   return GeoMean(ratios);
+}
+
+serve::ServeRequest ServeMixRequest(std::uint64_t i,
+                                    std::uint64_t multiput_every) {
+  serve::ServeRequest req;
+  if (multiput_every > 0 && i % multiput_every == 0) {
+    req.kind = serve::RequestKind::kMultiPut;
+    for (std::uint64_t j = 0; j < 4; ++j) {
+      req.pairs.push_back(serve::KvPair{100000 + i + j * 31,
+                                        std::vector<std::uint8_t>(8, 1)});
+    }
+  } else if (i % 3 == 2) {
+    req.kind = serve::RequestKind::kGet;
+    req.key = i / 2;
+  } else {
+    req.kind = serve::RequestKind::kPut;
+    req.key = i;
+    req.value = std::vector<std::uint8_t>(8, 2);
+  }
+  return req;
 }
 
 // ---- Shared entry point ------------------------------------------------------

@@ -14,6 +14,10 @@
 #include "src/workloads/workload.h"
 
 namespace nearpm {
+namespace serve {
+struct ServeRequest;
+}  // namespace serve
+
 namespace bench {
 
 struct RunConfig {
@@ -57,6 +61,13 @@ double MeanSpeedup(Mechanism mechanism, ExecMode mode, bool region_time,
                    const RunConfig& base);
 
 const char* ShortModeName(ExecMode mode);
+
+// The serving benches' deterministic request mix: request i is a 4-key
+// cross-shard MultiPut every `multiput_every`'th (keys 100000 + i + 31j;
+// 0 disables), else a Get of key i/2 every third (half hit earlier puts,
+// half miss), else a Put of key i.
+serve::ServeRequest ServeMixRequest(std::uint64_t i,
+                                    std::uint64_t multiput_every);
 
 // ---- Shared entry point ------------------------------------------------------
 // Every bench binary funnels through BenchMain, which understands two flags

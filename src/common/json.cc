@@ -534,6 +534,23 @@ JsonField UintField(std::string key, std::uint64_t* target) {
   return field;
 }
 
+JsonField UintField(std::string key, std::uint32_t* target) {
+  JsonField field;
+  field.key = std::move(key);
+  field.read = [target](const JsonValue& v) -> Status {
+    if (v.kind != JsonValue::Kind::kUint || v.uint > UINT32_MAX) {
+      return InvalidArgument("must be an integer in [0, " +
+                             std::to_string(UINT32_MAX) + "]");
+    }
+    *target = static_cast<std::uint32_t>(v.uint);
+    return Status::Ok();
+  };
+  field.write = [target]() -> std::optional<JsonValue> {
+    return JsonValue::Uint(*target);
+  };
+  return field;
+}
+
 JsonField IntField(std::string key, int* target, int min, int max) {
   JsonField field;
   field.key = std::move(key);

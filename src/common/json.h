@@ -104,6 +104,8 @@ struct JsonField {
 
 JsonField BoolField(std::string key, bool* target);
 JsonField UintField(std::string key, std::uint64_t* target);
+// A non-negative integer that must fit 32 bits.
+JsonField UintField(std::string key, std::uint32_t* target);
 // An integer literal in [min, max]: the value must fit the member it fills.
 // Written as a non-negative integer; a range that admits negative values
 // makes the field read only.

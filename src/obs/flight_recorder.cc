@@ -3,10 +3,112 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <istream>
+#include <optional>
 #include <ostream>
+#include <utility>
+
+#include "src/common/json.h"
 
 namespace nearpm {
 namespace obs {
+namespace {
+
+// The header's "sources": an array of labels (read only).
+JsonField LabelsField(std::string key, std::vector<std::string>* target) {
+  JsonField field;
+  field.key = std::move(key);
+  field.read = [target](const JsonValue& v) -> Status {
+    if (v.kind != JsonValue::Kind::kArray) {
+      return InvalidArgument("must be an array of strings");
+    }
+    for (const JsonValue& label : v.items) {
+      if (label.kind != JsonValue::Kind::kString) {
+        return InvalidArgument("must be an array of strings");
+      }
+      target->push_back(label.str);
+    }
+    return Status::Ok();
+  };
+  field.write = []() -> std::optional<JsonValue> { return std::nullopt; };
+  return field;
+}
+
+Status ReadHeader(const std::string& line, FlightDump* dump) {
+  const StatusOr<JsonValue> doc = ParseJson(line);
+  if (!doc.ok()) {
+    return doc.status();
+  }
+  std::string schema;
+  std::uint64_t capacity = 0;
+  std::uint64_t accepted = 0;
+  std::uint64_t dropped = 0;
+  const JsonValue* alert = nullptr;
+  NEARPM_RETURN_IF_ERROR(ReadJsonFields(
+      *doc,
+      {StringField("schema", &schema), UintField("capacity", &capacity),
+       UintField("accepted", &accepted), UintField("dropped", &dropped),
+       LabelsField("sources", &dump->sources),
+       Optional(ObjectField("alert", &alert))},
+      "header"));
+  if (schema != kFlightSchema) {
+    return InvalidArgument("header: schema \"" + schema + "\", want \"" +
+                           kFlightSchema + "\"");
+  }
+  if (alert != nullptr) {
+    dump->alert_json = line.substr(alert->begin, alert->end - alert->begin);
+  }
+  return Status::Ok();
+}
+
+Status ReadRecord(const std::string& line, FlightRecord* r) {
+  const StatusOr<JsonValue> doc = ParseJson(line);
+  if (!doc.ok()) {
+    return doc.status();
+  }
+  return ReadJsonFields(
+      *doc,
+      {UintField("ticket", &r->ticket), UintField("source", &r->source),
+       NamedField("phase", &r->phase, &TracePhaseNames()),
+       UintField("pid", &r->pid), UintField("tid", &r->tid),
+       UintField("ts", &r->ts), UintField("dur", &r->dur),
+       UintField("seq", &r->seq), UintField("arg0", &r->arg0),
+       UintField("epoch", &r->epoch), UintField("order", &r->order),
+       UintField("trace", &r->trace)},
+      "record");
+}
+
+}  // namespace
+
+StatusOr<FlightDump> ReadFlightDump(std::istream& is) {
+  FlightDump dump;
+  std::string line;
+  if (!std::getline(is, line)) {
+    return InvalidArgument("empty flight dump");
+  }
+  if (const Status st = ReadHeader(line, &dump); !st.ok()) {
+    return InvalidArgument("line 1: " + st.message());
+  }
+  std::size_t line_no = 1;
+  while (std::getline(is, line)) {
+    ++line_no;
+    if (line.empty()) {
+      continue;
+    }
+    FlightRecord record;
+    Status st = ReadRecord(line, &record);
+    if (st.ok() && record.source >= dump.sources.size()) {
+      st = InvalidArgument("record: source " + std::to_string(record.source) +
+                           " is not listed in the header");
+    }
+    if (!st.ok()) {
+      return InvalidArgument("line " + std::to_string(line_no) + ": " +
+                             st.message());
+    }
+    dump.records.push_back(record);
+  }
+  return dump;
+}
 
 FlightRecorder::FlightRecorder(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity),

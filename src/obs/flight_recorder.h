@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/trace/trace_event.h"
 
 namespace nearpm {
@@ -59,6 +60,21 @@ struct FlightRecord {
   std::uint64_t order = 0;  // source recorder's order (per-source monotonic)
   std::uint64_t trace = 0;  // originating request id (0 = none)
 };
+
+// A dump as read back: the header's source labels and alert, then every
+// record line.
+struct FlightDump {
+  std::vector<std::string> sources;
+  std::string alert_json;  // the header's alert object; empty when none
+  std::vector<FlightRecord> records;
+};
+
+// Reads a dump WriteFlightDump (watchdog.h) wrote, through the strict JSON
+// reader (src/common/json.h): the header must carry kFlightSchema, and in
+// the header and every record an unknown, missing, wrong-kind or
+// out-of-range key, or anything after the closing brace, is an error, as is
+// a record naming an unlisted source. Errors name the line.
+StatusOr<FlightDump> ReadFlightDump(std::istream& is);
 
 class FlightRecorder {
  public:
@@ -95,7 +111,8 @@ class FlightRecorder {
 
   // Serializes the retained records, one JSON object per line, oldest
   // first. The dump header (schema tag, alert context) is written by
-  // WriteFlightDump in watchdog.h, which composes with this.
+  // WriteFlightDump in watchdog.h, which composes with this; ReadFlightDump
+  // reads both back.
   void WriteRecords(std::ostream& os) const;
 
   // Forgets all retained records (setup/test helper; not thread-safe).

@@ -2,18 +2,22 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <istream>
+#include <optional>
 #include <ostream>
+#include <string_view>
+#include <utility>
+
+#include "src/common/json.h"
 
 namespace nearpm {
 
 namespace {
 
-// Fixed line layout shared by writer and reader. The phase travels by name,
-// not enum value, so files survive enum reordering. `trace` was appended
-// when request-scoped tracing landed; the reader still accepts the earlier
-// 14-field lines (trace = 0) so archived captures stay replayable.
+// The writer's fixed line layout. The phase travels by name, not enum value,
+// so files survive enum reordering. `trace` was appended when
+// request-scoped tracing landed; the reader still accepts the earlier lines
+// without it (trace = 0) so archived captures stay replayable.
 constexpr char kLineFormat[] =
     "{\"phase\":\"%s\",\"pid\":%" PRIu32 ",\"tid\":%" PRIu32 ",\"ts\":%" PRIu64
     ",\"dur\":%" PRIu64 ",\"seq\":%" PRIu64 ",\"range\":[%" PRIu64 ",%" PRIu64
@@ -21,29 +25,40 @@ constexpr char kLineFormat[] =
     ",\"arg1\":%" PRIu64 ",\"epoch\":%" PRIu32 ",\"order\":%" PRIu64
     ",\"trace\":%" PRIu64 "}";
 
-constexpr char kScanFormat[] =
-    "{\"phase\":\"%31[a-z_]\",\"pid\":%" SCNu32 ",\"tid\":%" SCNu32
-    ",\"ts\":%" SCNu64 ",\"dur\":%" SCNu64 ",\"seq\":%" SCNu64
-    ",\"range\":[%" SCNu64 ",%" SCNu64 "],\"range2\":[%" SCNu64 ",%" SCNu64
-    "],\"arg0\":%" SCNu64 ",\"arg1\":%" SCNu64 ",\"epoch\":%" SCNu32
-    ",\"order\":%" SCNu64 ",\"trace\":%" SCNu64 "}";
-
-constexpr char kLegacyScanFormat[] =
-    "{\"phase\":\"%31[a-z_]\",\"pid\":%" SCNu32 ",\"tid\":%" SCNu32
-    ",\"ts\":%" SCNu64 ",\"dur\":%" SCNu64 ",\"seq\":%" SCNu64
-    ",\"range\":[%" SCNu64 ",%" SCNu64 "],\"range2\":[%" SCNu64 ",%" SCNu64
-    "],\"arg0\":%" SCNu64 ",\"arg1\":%" SCNu64 ",\"epoch\":%" SCNu32
-    ",\"order\":%" SCNu64 "}";
-
-bool PhaseFromName(const char* name, TracePhase* out) {
-  for (int i = 0; i < static_cast<int>(TracePhase::kCount); ++i) {
-    const TracePhase phase = static_cast<TracePhase>(i);
-    if (std::strcmp(name, TracePhaseName(phase)) == 0) {
-      *out = phase;
-      return true;
+// "[begin,end]": exactly two non-negative integers (read only; the writer
+// prints ranges through kLineFormat).
+JsonField RangeField(std::string key, AddrRange* target) {
+  JsonField field;
+  field.key = std::move(key);
+  field.read = [target](const JsonValue& v) -> Status {
+    if (v.kind != JsonValue::Kind::kArray || v.items.size() != 2 ||
+        v.items[0].kind != JsonValue::Kind::kUint ||
+        v.items[1].kind != JsonValue::Kind::kUint) {
+      return InvalidArgument("must be an array of two non-negative integers");
     }
+    target->begin = v.items[0].uint;
+    target->end = v.items[1].uint;
+    return Status::Ok();
+  };
+  field.write = []() -> std::optional<JsonValue> { return std::nullopt; };
+  return field;
+}
+
+Status ReadRawLine(std::string_view line, TraceEvent* e) {
+  const StatusOr<JsonValue> doc = ParseJson(line);
+  if (!doc.ok()) {
+    return doc.status();
   }
-  return false;
+  return ReadJsonFields(
+      *doc,
+      {NamedField("phase", &e->phase, &TracePhaseNames()),
+       UintField("pid", &e->pid), UintField("tid", &e->tid),
+       UintField("ts", &e->ts), UintField("dur", &e->dur),
+       UintField("seq", &e->seq), RangeField("range", &e->range),
+       RangeField("range2", &e->range2), UintField("arg0", &e->arg0),
+       UintField("arg1", &e->arg1), UintField("epoch", &e->epoch),
+       UintField("order", &e->order), Optional(UintField("trace", &e->trace))},
+      "event");
 }
 
 }  // namespace
@@ -68,24 +83,12 @@ bool ReadRawTrace(std::istream& is, std::vector<TraceEvent>* out,
     if (line.empty()) {
       continue;
     }
-    char phase_name[32] = {};
     TraceEvent e;
-    int matched = std::sscanf(
-        line.c_str(), kScanFormat, phase_name, &e.pid, &e.tid, &e.ts, &e.dur,
-        &e.seq, &e.range.begin, &e.range.end, &e.range2.begin, &e.range2.end,
-        &e.arg0, &e.arg1, &e.epoch, &e.order, &e.trace);
-    if (matched != 15) {
-      e.trace = 0;
-      matched = std::sscanf(
-          line.c_str(), kLegacyScanFormat, phase_name, &e.pid, &e.tid, &e.ts,
-          &e.dur, &e.seq, &e.range.begin, &e.range.end, &e.range2.begin,
-          &e.range2.end, &e.arg0, &e.arg1, &e.epoch, &e.order);
-      matched = (matched == 14) ? 15 : matched;
-    }
-    if (matched != 15 || !PhaseFromName(phase_name, &e.phase)) {
+    const Status st = ReadRawLine(line, &e);
+    if (!st.ok()) {
       if (error != nullptr) {
         *error = "malformed raw trace line " + std::to_string(line_no) + ": " +
-                 line;
+                 st.message();
       }
       return false;
     }

@@ -2,9 +2,11 @@
 //
 // The Chrome-trace export is lossy (microsecond rendering, per-viewer field
 // mapping), so profiling tools that re-analyze a captured run need their own
-// format. One event per line, every field present, fixed key order -- the
-// reader parses with a fixed pattern and rejects anything else, keeping both
-// sides trivial and the files byte-stable for a deterministic run.
+// format. One event per line, every field present, fixed key order, so the
+// files are byte-stable for a deterministic run. The reader goes through
+// the strict JSON reader (src/common/json.h): an unknown, missing,
+// wrong-kind or out-of-range key, or anything after the closing brace, is
+// an error.
 #ifndef SRC_PROF_RAW_TRACE_H_
 #define SRC_PROF_RAW_TRACE_H_
 

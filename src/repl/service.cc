@@ -36,8 +36,7 @@ StatusOr<ReplProtocol> ReplProtocolFromName(const std::string& name) {
 }
 
 ReplicatedKvService::ReplicatedKvService(const ReplOptions& options)
-    : FrontEnd(options, options.groups, options.replicas, obs::SloSpec{},
-               "repl_", "node"),
+    : FrontEnd(options, options.groups, options.replicas, "repl_", "node"),
       options_(options),
       alive_(static_cast<std::size_t>(options.groups * options.replicas),
              true),
@@ -64,8 +63,8 @@ StatusOr<std::unique_ptr<ReplicatedKvService>> ReplicatedKvService::Create(
   return service;
 }
 
-void ReplicatedKvService::ExecuteBatch(int group, int worker,
-                                       std::vector<QueuedRequest>& batch) {
+SimTime ReplicatedKvService::ExecuteBatch(int group, int worker,
+                                          std::vector<QueuedRequest>& batch) {
   serve::WorkerMetrics& wm = worker_metrics(group, worker);
   obs::SlidingWindow& win = window(group, worker);
   std::size_t reads = 0;
@@ -73,6 +72,7 @@ void ReplicatedKvService::ExecuteBatch(int group, int worker,
     reads += item.request.kind == RequestKind::kGet ? 1u : 0u;
   }
 
+  SimTime batch_end = 0;
   const int primary = router_.PrimaryNodeFor(group);
   if (reads > 0 && !alive_[primary]) {
     for (QueuedRequest& item : batch) {
@@ -120,12 +120,13 @@ void ReplicatedKvService::ExecuteBatch(int group, int worker,
       Complete(item, std::move(result), end, wm, win);
     }
     rt.Fence(tid);
+    batch_end = rt.Now(tid);
     wm.batches.fetch_add(1, std::memory_order_relaxed);
     wm.batch_size.Add(reads);
   }
 
   if (reads == batch.size()) {
-    return;
+    return batch_end;
   }
   // A single put commits as a 1-pair transaction through this buffer, which
   // takes the payload by move.
@@ -149,8 +150,10 @@ void ReplicatedKvService::ExecuteBatch(int group, int worker,
       wm.puts.fetch_add(1, std::memory_order_relaxed);
     }
     result.latency_ns = clock.end - clock.start;
+    batch_end = std::max(batch_end, clock.end);
     Complete(item, std::move(result), clock.end, wm, win);
   }
+  return batch_end;
 }
 
 std::vector<int> ReplicatedKvService::LiveReplicas(int group) const {
@@ -543,7 +546,7 @@ StatusOr<std::vector<KvPair>> ReplicatedKvService::DumpReplica(int group,
 
 ReplStats ReplicatedKvService::Stats() const {
   ReplStats stats;
-  static_cast<serve::ServeStats&>(stats) = MergeStats();
+  static_cast<serve::ServeStats&>(stats) = FrontEnd::Stats();
   stats.failovers = failovers_.load(std::memory_order_relaxed);
   stats.intent_redos = intent_redos_.load(std::memory_order_relaxed);
   stats.net_messages = fabric_->total_messages();

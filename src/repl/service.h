@@ -180,8 +180,8 @@ class ReplicatedKvService : public serve::FrontEnd {
 
   // Reads under one lock/doorbell/fence on the group's primary, then every
   // mutation through the replicated commit (which takes its own locks).
-  void ExecuteBatch(int group, int worker,
-                    std::vector<QueuedRequest>& batch) override;
+  SimTime ExecuteBatch(int group, int worker,
+                       std::vector<QueuedRequest>& batch) override;
   void PublishCommitMetrics() override;
 
   // Live replica indices of a group, ascending (primary not necessarily

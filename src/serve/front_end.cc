@@ -32,12 +32,14 @@ Status FrontEnd::Validate(const FrontEndOptions& options) {
     return InvalidArgument(
         "workers, batch_max and queue_capacity must be >= 1");
   }
+  if (options.slo) {
+    return options.slo->Validate();
+  }
   return Status::Ok();
 }
 
 FrontEnd::FrontEnd(const FrontEndOptions& options, int groups, int replicas,
-                   const obs::SloSpec& window_shape, std::string metric_prefix,
-                   std::string node_label)
+                   std::string metric_prefix, std::string node_label)
     : front_(options),
       router_(groups, replicas),
       prefix_(std::move(metric_prefix)),
@@ -52,9 +54,10 @@ FrontEnd::FrontEnd(const FrontEndOptions& options, int groups, int replicas,
 
   // One sliding window per (group, worker), mirroring the WorkerMetrics
   // layout so the hot path touches only writer-private state.
+  const obs::SloSpec shape = options.slo.value_or(obs::SloSpec{});
   obs::WindowOptions wo;
-  wo.window_ns = static_cast<SimTime>(window_shape.window_ns);
-  wo.slow_k = window_shape.slow_k;
+  wo.window_ns = static_cast<SimTime>(shape.window_ns);
+  wo.slow_k = shape.slow_k;
   windows_.reserve(worker_metrics_.size());
   for (std::size_t i = 0; i < worker_metrics_.size(); ++i) {
     windows_.emplace_back(wo);
@@ -97,6 +100,13 @@ Status FrontEnd::CreateNodes(TraceRecorder* fabric) {
     if (fabric_ != nullptr) {
       fabric_->AttachSink(flight_->RegisterSource("fabric"));
     }
+  }
+  if (front_.slo) {
+    obs::WatchdogOptions wd;
+    wd.spec = *front_.slo;
+    wd.flight = flight_.get();
+    wd.dump_path = front_.slo_dump_path;
+    watchdog_ = std::make_unique<obs::SloWatchdog>(wd);
   }
   return Status::Ok();
 }
@@ -184,7 +194,7 @@ void FrontEnd::WorkerLoop(int group, int worker) {
       }
       batch.push_back(std::move(*more));
     }
-    ExecuteBatch(group, worker, batch);
+    RunBatch(group, worker, batch);
     // Tear the finished requests down before waiting for the next ones, so
     // the teardown stays off the next request's path.
     batch.clear();
@@ -214,20 +224,27 @@ std::uint64_t FrontEnd::Pump() {
       executed += batch.size();
       const int worker = pump_rr_[g];
       pump_rr_[g] = (pump_rr_[g] + 1) % front_.workers_per_shard;
-      ExecuteBatch(g, worker, batch);
+      RunBatch(g, worker, batch);
     }
   }
   return executed;
 }
 
-void FrontEnd::SloCheck(SimTime now, TraceRecorder* recorder) {
+void FrontEnd::RunBatch(int group, int worker,
+                        std::vector<QueuedRequest>& batch) {
+  const SimTime end = ExecuteBatch(group, worker, batch);
   if (watchdog_ == nullptr) {
     return;
   }
+  // A breach's kSloAlert instant lands on the group primary's trace, so the
+  // check holds that node's lock.
+  Shard& primary = *nodes_[router_.PrimaryNodeFor(group)];
+  std::lock_guard lock(primary.mu());
   const std::uint64_t stalled = rejected_.load(std::memory_order_relaxed);
   const std::uint64_t attempted =
       stalled + enqueued_.load(std::memory_order_relaxed);
-  watchdog_->MaybeCheck(now, window_ptrs_, stalled, attempted, recorder);
+  watchdog_->MaybeCheck(end, window_ptrs_, stalled, attempted,
+                        &primary.recorder());
 }
 
 obs::WindowStats FrontEnd::WindowSnapshot(SimTime now) const {
@@ -320,7 +337,7 @@ std::uint64_t FrontEnd::PpoViolations(std::string* report) {
   return total;
 }
 
-ServeStats FrontEnd::MergeStats() const {
+ServeStats FrontEnd::Stats() const {
   // One pass over the per-worker blocks; no registry lookups.
   ServeStats stats;
   Histogram request_ns;
@@ -349,7 +366,7 @@ ServeStats FrontEnd::MergeStats() const {
 void FrontEnd::PublishMetrics() {
   // Merge the worker blocks, then *store* the totals: publishing is
   // idempotent, so scrapes never double-count.
-  const ServeStats stats = MergeStats();
+  const ServeStats stats = Stats();
   Histogram request_ns;
   Histogram batch_size;
   for (const WorkerMetrics& wm : worker_metrics_) {

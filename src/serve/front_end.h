@@ -9,8 +9,9 @@
 // over the simulated fabric. Both subclass this core and supply only how a
 // batch executes (ExecuteBatch) and how their machines crash, fail over and
 // recover. Admission, the rings, the workers, Pump, the per-worker metric
-// blocks, the sliding windows, the flight recorder, the stats merge, the
-// PPO audit, the timeline sources and the intent-redo loop exist once, here.
+// blocks, the sliding windows, the flight recorder, the SLO watchdog, the
+// stats merge, the PPO audit, the timeline sources and the intent-redo loop
+// exist once, here.
 //
 // Hot path: requests are admitted into per-group lock-free MPSC rings
 // (src/serve/mpsc_ring.h; a full ring rejects with ResourceExhausted --
@@ -36,6 +37,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +79,13 @@ struct FrontEndOptions {
   // recorder (plus the fabric's) feeds the one shared ring, so the last N
   // events the whole service produced are always dumpable.
   std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
+  // SLO watchdog: when set, `slo` is evaluated at batch boundaries over the
+  // per-worker sliding windows, and a breach dumps the flight record to
+  // `slo_dump_path` (empty = in-memory alert only). The windows take their
+  // shape (window_ns, slow_k) from `slo`, or from SloSpec{} when it is
+  // unset.
+  std::optional<obs::SloSpec> slo;
+  std::string slo_dump_path;
 };
 
 enum class RequestKind : std::uint8_t { kGet, kPut, kMultiPut };
@@ -197,6 +206,11 @@ class FrontEnd {
   // appends human-readable reports to `report` when non-null.
   std::uint64_t PpoViolations(std::string* report = nullptr);
 
+  // Quiesced-state snapshot (call after Stop()/Pump(), not mid-traffic): one
+  // merge pass over the worker blocks plus the admission counters, txns_,
+  // makespan and throughput. Never touches the registry.
+  ServeStats Stats() const;
+
   // Folds the per-worker blocks and service-level counters into metrics()
   // under the service's historical names (<prefix>completed,
   // <prefix>request_ns, ...), plus the sliding-window gauges, the watchdog
@@ -214,7 +228,7 @@ class FrontEnd {
   // ---- Live observability ---------------------------------------------------
   // The shared flight recorder (null when flight_capacity == 0).
   obs::FlightRecorder* flight() { return flight_.get(); }
-  // The SLO watchdog (null unless the service armed one).
+  // The SLO watchdog (null unless FrontEndOptions::slo is set).
   obs::SloWatchdog* watchdog() { return watchdog_.get(); }
   // Merged sliding-window view across every (group, worker) window at sim
   // time `now` (pass Stats().makespan_ns for "end of run"). Safe mid-run.
@@ -234,22 +248,24 @@ class FrontEnd {
     std::uint64_t trace_id = 0;  // allocated at admission
   };
 
-  // Rejects shapes the constructor cannot size; call before constructing.
+  // Rejects shapes the constructor cannot size and an invalid SLO spec;
+  // call before constructing.
   static Status Validate(const FrontEndOptions& options);
   // `metric_prefix` names the registry entries ("serve_"), `node_label` the
-  // nodes in labels, reports and timeline sources ("shard"). The window
-  // shape (window_ns, slow_k) comes from `window_shape`.
+  // nodes in labels, reports and timeline sources ("shard").
   FrontEnd(const FrontEndOptions& options, int groups, int replicas,
-           const obs::SloSpec& window_shape, std::string metric_prefix,
-           std::string node_label);
-  // Builds every node and wires its recorder -- then `fabric`'s, when
-  // non-null -- into the flight ring. Call once, right after construction.
+           std::string metric_prefix, std::string node_label);
+  // Builds every node, wires its recorder -- then `fabric`'s, when
+  // non-null -- into the flight ring, and arms the SLO watchdog when the
+  // options carry a spec. Call once, right after construction.
   Status CreateNodes(TraceRecorder* fabric);
 
   // Executes one batch popped from `group`'s ring on worker clock `worker`,
   // fulfilling every request's future. The buffer is reused across batches.
-  virtual void ExecuteBatch(int group, int worker,
-                            std::vector<QueuedRequest>& batch) = 0;
+  // Returns the latest simulated time the batch reached: the SLO watchdog's
+  // evaluation point.
+  virtual SimTime ExecuteBatch(int group, int worker,
+                               std::vector<QueuedRequest>& batch) = 0;
   // Stores the backend's commit-path counters under its historical names
   // (PublishMetrics' last step).
   virtual void PublishCommitMetrics() = 0;
@@ -273,15 +289,6 @@ class FrontEnd {
     item.done.set_value(std::move(result));
   }
 
-  // Watchdog breach check at a batch boundary. The caller must hold
-  // `recorder`'s node lock (the alert instant lands on that trace).
-  void SloCheck(SimTime now, TraceRecorder* recorder);
-
-  // The shared Stats() core: one merge pass over the worker blocks plus the
-  // admission counters, txns_, makespan and throughput. Never touches the
-  // registry.
-  ServeStats MergeStats() const;
-
   // Fails every request still queued on `group` with Unavailable (a power
   // failure loses admitted-but-unexecuted work).
   void FailQueued(int group);
@@ -299,8 +306,6 @@ class FrontEnd {
   // Transactions, counted as each backend's Stats documents.
   std::atomic<std::uint64_t> txns_{0};
   std::atomic<std::uint64_t> intent_redos_{0};
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  std::unique_ptr<obs::SloWatchdog> watchdog_;
 
  private:
   std::size_t Block(int group, int worker) const {
@@ -309,6 +314,9 @@ class FrontEnd {
            static_cast<std::size_t>(worker);
   }
   void WorkerLoop(int group, int worker);
+  // ExecuteBatch, then the watchdog's breach check at the batch's end time
+  // (one branch when no watchdog is armed).
+  void RunBatch(int group, int worker, std::vector<QueuedRequest>& batch);
 
   const std::string prefix_;
   const std::string node_label_;
@@ -332,6 +340,8 @@ class FrontEnd {
   std::atomic<std::uint64_t> trace_counter_{0};
   std::vector<obs::SlidingWindow> windows_;
   std::vector<const obs::SlidingWindow*> window_ptrs_;
+  std::unique_ptr<obs::FlightRecorder> flight_;
+  std::unique_ptr<obs::SloWatchdog> watchdog_;
 
   std::vector<std::thread> workers_;  // last: they use everything above
 };

@@ -9,8 +9,7 @@ namespace nearpm {
 namespace serve {
 
 KvService::KvService(const ServeOptions& options)
-    : FrontEnd(options, options.shards, /*replicas=*/1, options.slo, "serve_",
-               "shard"),
+    : FrontEnd(options, options.shards, /*replicas=*/1, "serve_", "shard"),
       options_(options) {}
 
 KvService::~KvService() { Stop(); }
@@ -21,18 +20,8 @@ StatusOr<std::unique_ptr<KvService>> KvService::Create(
     return InvalidArgument("service needs at least one shard");
   }
   NEARPM_RETURN_IF_ERROR(Validate(options));
-  if (options.slo_enabled) {
-    NEARPM_RETURN_IF_ERROR(options.slo.Validate());
-  }
   auto service = std::unique_ptr<KvService>(new KvService(options));
   NEARPM_RETURN_IF_ERROR(service->CreateNodes(/*fabric=*/nullptr));
-  if (options.slo_enabled) {
-    obs::WatchdogOptions wd;
-    wd.spec = options.slo;
-    wd.flight = service->flight_.get();
-    wd.dump_path = options.slo_dump_path;
-    service->watchdog_ = std::make_unique<obs::SloWatchdog>(wd);
-  }
   return service;
 }
 
@@ -81,8 +70,8 @@ void KvService::ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
   Complete(item, std::move(result), end, wm, win);
 }
 
-void KvService::ExecuteBatch(int shard_id, int worker,
-                             std::vector<QueuedRequest>& batch) {
+SimTime KvService::ExecuteBatch(int shard_id, int worker,
+                                std::vector<QueuedRequest>& batch) {
   Shard& shard = node(shard_id);
   const ThreadId tid = shard.WorkerTid(worker);
   WorkerMetrics& wm = worker_metrics(shard_id, worker);
@@ -97,6 +86,7 @@ void KvService::ExecuteBatch(int shard_id, int worker,
     locals += item.request.kind != RequestKind::kMultiPut ? 1u : 0u;
   }
 
+  SimTime batch_end = 0;
   if (locals > 0) {
     std::lock_guard lock(shard.mu());
     Runtime& rt = shard.rt();
@@ -124,7 +114,7 @@ void KvService::ExecuteBatch(int shard_id, int worker,
       ExecuteLocal(shard, tid, item, batch_start, wm, win);
     }
     rt.Fence(tid);
-    const SimTime batch_end = rt.Now(tid);
+    batch_end = rt.Now(tid);
     NEARPM_TRACE_SPAN(&shard.recorder(), .phase = TracePhase::kServeBatch,
                       .pid = kTraceServePid,
                       .tid = static_cast<std::uint32_t>(tid), .ts = batch_start,
@@ -133,15 +123,11 @@ void KvService::ExecuteBatch(int shard_id, int worker,
                       .arg0 = locals);
     wm.batches.fetch_add(1, std::memory_order_relaxed);
     wm.batch_size.Add(locals);
-    // Batch boundary = SLO evaluation point; still under the shard lock, so
-    // a breach's kSloAlert instant can land on this shard's trace.
-    SloCheck(batch_end, &shard.recorder());
   }
 
   if (locals == batch.size()) {
-    return;
+    return batch_end;
   }
-  SimTime txn_last_end = 0;
   for (QueuedRequest& item : batch) {
     if (item.request.kind != RequestKind::kMultiPut) {
       continue;
@@ -166,13 +152,10 @@ void KvService::ExecuteBatch(int shard_id, int worker,
       txn_end = shard.Now(coord_tid);
     }
     result.latency_ns = txn_end > txn_start ? txn_end - txn_start : 0;
-    txn_last_end = txn_end;
+    batch_end = std::max(batch_end, txn_end);
     Complete(item, std::move(result), txn_end, wm, win);
   }
-  if (watchdog_ != nullptr) {
-    std::lock_guard lock(shard.mu());
-    SloCheck(txn_last_end, &shard.recorder());
-  }
+  return batch_end;
 }
 
 Status KvService::ExecuteMultiPut(const std::vector<KvPair>& pairs,

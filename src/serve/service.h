@@ -31,15 +31,6 @@ namespace serve {
 
 struct ServeOptions : FrontEndOptions {
   int shards = 4;
-
-  // ---- SLO watchdog ---------------------------------------------------------
-  // When enabled, `slo` is evaluated at batch boundaries over the per-worker
-  // sliding windows; a breach dumps the flight record to `slo_dump_path`
-  // (empty = in-memory alert only). The window shape (window_ns, slow_k)
-  // always comes from `slo`, watchdog or not.
-  bool slo_enabled = false;
-  obs::SloSpec slo;
-  std::string slo_dump_path;
 };
 
 // Crash injection for the serve fuzzer: where ExecuteMultiPut deliberately
@@ -86,16 +77,14 @@ class KvService : public FrontEnd {
   // and retired, restoring the all-or-nothing guarantee.
   Status RecoverAll();
 
-  ServeStats Stats() const { return MergeStats(); }
-
  private:
   explicit KvService(const ServeOptions& options);
 
   // Executes one batch in place: single-shard requests under the shard lock
   // with one doorbell + one fence, then cross-shard transactions (which
   // take their participants' locks themselves).
-  void ExecuteBatch(int shard_id, int worker,
-                    std::vector<QueuedRequest>& batch) override;
+  SimTime ExecuteBatch(int shard_id, int worker,
+                       std::vector<QueuedRequest>& batch) override;
   void ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
                     SimTime batch_start, WorkerMetrics& wm,
                     obs::SlidingWindow& win);

@@ -4,88 +4,52 @@
 
 namespace nearpm {
 
+const NameTable<TracePhase>& TracePhaseNames() {
+  static const NameTable<TracePhase> table{
+      {TracePhase::kCpuRead, "cpu_read"},
+      {TracePhase::kCpuWrite, "cpu_write"},
+      {TracePhase::kCpuPersist, "cpu_persist"},
+      {TracePhase::kCpuFence, "cpu_fence"},
+      {TracePhase::kCpuStall, "cpu_stall"},
+      {TracePhase::kCpuDrain, "cpu_drain"},
+      {TracePhase::kCmdPost, "cmd_post"},
+      {TracePhase::kFifoEnqueue, "fifo_enqueue"},
+      {TracePhase::kDevPipeline, "dev_pipeline"},
+      {TracePhase::kConflictStall, "conflict_stall"},
+      {TracePhase::kUnitExec, "unit_exec"},
+      {TracePhase::kDeferredExec, "deferred_exec"},
+      {TracePhase::kRetire, "retire"},
+      {TracePhase::kWritebackAccepted, "writeback_accepted"},
+      {TracePhase::kSyncMarker, "sync_marker"},
+      {TracePhase::kSyncComplete, "sync_complete"},
+      {TracePhase::kSwSyncPoll, "swsync_poll"},
+      {TracePhase::kCrash, "crash"},
+      {TracePhase::kCrashOutcome, "crash_outcome"},
+      {TracePhase::kRecoveryReplay, "recovery_replay"},
+      {TracePhase::kOpBegin, "op_begin"},
+      {TracePhase::kOpCommit, "op_commit"},
+      {TracePhase::kMechRecover, "mech_recover"},
+      {TracePhase::kServeEnqueue, "serve_enqueue"},
+      {TracePhase::kServeReject, "serve_reject"},
+      {TracePhase::kServeBatch, "serve_batch"},
+      {TracePhase::kServeRequest, "serve_request"},
+      {TracePhase::kServeTxn, "serve_txn"},
+      {TracePhase::kFifoDepth, "fifo_depth"},
+      {TracePhase::kInflightDepth, "inflight_depth"},
+      {TracePhase::kServeQueueDepth, "serve_queue_depth"},
+      {TracePhase::kCoherenceWb, "coherence_wb"},
+      {TracePhase::kNetXfer, "net_xfer"},
+      {TracePhase::kNetDeliver, "net_deliver"},
+      {TracePhase::kReplDoorbell, "repl_doorbell"},
+      {TracePhase::kPipeStage, "pipe_stage"},
+      {TracePhase::kLsqDepth, "lsq_depth"},
+      {TracePhase::kSloAlert, "slo_alert"},
+  };
+  return table;
+}
+
 const char* TracePhaseName(TracePhase phase) {
-  switch (phase) {
-    case TracePhase::kCpuRead:
-      return "cpu_read";
-    case TracePhase::kCpuWrite:
-      return "cpu_write";
-    case TracePhase::kCpuPersist:
-      return "cpu_persist";
-    case TracePhase::kCpuFence:
-      return "cpu_fence";
-    case TracePhase::kCpuStall:
-      return "cpu_stall";
-    case TracePhase::kCpuDrain:
-      return "cpu_drain";
-    case TracePhase::kCmdPost:
-      return "cmd_post";
-    case TracePhase::kFifoEnqueue:
-      return "fifo_enqueue";
-    case TracePhase::kDevPipeline:
-      return "dev_pipeline";
-    case TracePhase::kConflictStall:
-      return "conflict_stall";
-    case TracePhase::kUnitExec:
-      return "unit_exec";
-    case TracePhase::kDeferredExec:
-      return "deferred_exec";
-    case TracePhase::kRetire:
-      return "retire";
-    case TracePhase::kWritebackAccepted:
-      return "writeback_accepted";
-    case TracePhase::kSyncMarker:
-      return "sync_marker";
-    case TracePhase::kSyncComplete:
-      return "sync_complete";
-    case TracePhase::kSwSyncPoll:
-      return "swsync_poll";
-    case TracePhase::kCrash:
-      return "crash";
-    case TracePhase::kCrashOutcome:
-      return "crash_outcome";
-    case TracePhase::kRecoveryReplay:
-      return "recovery_replay";
-    case TracePhase::kOpBegin:
-      return "op_begin";
-    case TracePhase::kOpCommit:
-      return "op_commit";
-    case TracePhase::kMechRecover:
-      return "mech_recover";
-    case TracePhase::kServeEnqueue:
-      return "serve_enqueue";
-    case TracePhase::kServeReject:
-      return "serve_reject";
-    case TracePhase::kServeBatch:
-      return "serve_batch";
-    case TracePhase::kServeRequest:
-      return "serve_request";
-    case TracePhase::kServeTxn:
-      return "serve_txn";
-    case TracePhase::kFifoDepth:
-      return "fifo_depth";
-    case TracePhase::kInflightDepth:
-      return "inflight_depth";
-    case TracePhase::kServeQueueDepth:
-      return "serve_queue_depth";
-    case TracePhase::kCoherenceWb:
-      return "coherence_wb";
-    case TracePhase::kNetXfer:
-      return "net_xfer";
-    case TracePhase::kNetDeliver:
-      return "net_deliver";
-    case TracePhase::kReplDoorbell:
-      return "repl_doorbell";
-    case TracePhase::kPipeStage:
-      return "pipe_stage";
-    case TracePhase::kLsqDepth:
-      return "lsq_depth";
-    case TracePhase::kSloAlert:
-      return "slo_alert";
-    case TracePhase::kCount:
-      break;
-  }
-  return "?";
+  return TracePhaseNames().Name(phase);
 }
 
 const char* PipeStageName(PipeStage stage) {

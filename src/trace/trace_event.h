@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "src/common/name_table.h"
 #include "src/common/types.h"
 #include "src/sim/cost_model.h"
 
@@ -91,6 +92,9 @@ enum class TracePhase : std::uint8_t {
 enum class PipeStage : std::uint8_t { kDispatch = 0, kExecute, kWriteback };
 const char* PipeStageName(PipeStage stage);
 
+// Every phase's name, listed once: TracePhaseName prints through it and the
+// trace readers parse through it.
+const NameTable<TracePhase>& TracePhaseNames();
 const char* TracePhaseName(TracePhase phase);
 // True for the counter-sample phases above: instants whose arg0 is a
 // sampled series value rather than a phase-specific annotation.

@@ -198,6 +198,23 @@ TEST(FlagsTest, ParseUintTakesPlainDecimalOnly) {
   EXPECT_FALSE(ParseUint(nullptr, &v));
 }
 
+TEST(FlagsTest, ParseDoubleTakesFiniteNumbersOnly) {
+  double v = 7;
+  EXPECT_TRUE(ParseDouble("0.99", &v));
+  EXPECT_DOUBLE_EQ(v, 0.99);
+  EXPECT_TRUE(ParseDouble("-1", &v));
+  EXPECT_DOUBLE_EQ(v, -1.0) << "the sign is the caller's range check";
+  EXPECT_TRUE(ParseDouble("2e3", &v));
+  EXPECT_DOUBLE_EQ(v, 2000.0);
+  for (const char* bad : {"", " 1", "1 ", "\t1", "1x", "nan", "NAN", "inf",
+                          "-inf", "infinity", "1e999", "-1e999"}) {
+    v = 7;
+    EXPECT_FALSE(ParseDouble(bad, &v)) << "accepted \"" << bad << "\"";
+    EXPECT_EQ(v, 7.0) << "a rejected value must leave the output alone";
+  }
+  EXPECT_FALSE(ParseDouble(nullptr, &v));
+}
+
 TEST(FlagsTest, MatchFlagShapes) {
   const char* value = nullptr;
   EXPECT_TRUE(MatchFlag("--ops=12", "--ops", &value));

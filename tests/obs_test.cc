@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -119,6 +120,90 @@ TEST(FlightRecorderTest, DumpCarriesSchemaSourcesAndRecords) {
   }
   EXPECT_EQ(lines, 3);
   EXPECT_NE(dump.find("\"trace\":7"), std::string::npos);
+}
+
+TEST(FlightRecorderTest, DumpRoundTripsThroughTheReader) {
+  FlightRecorder flight(16);
+  TraceSink* a = flight.RegisterSource("node0");
+  TraceSink* b = flight.RegisterSource("fabric");
+  TraceEvent span = Event(kTraceServePid, 5, /*trace=*/7);
+  span.phase = TracePhase::kNetXfer;
+  span.tid = 3;
+  span.seq = 11;
+  span.arg0 = 2;
+  span.epoch = 1;
+  a->Consume(Event(1, 4, /*trace=*/7));
+  b->Consume(span);
+  a->Consume(Event(1, 1ull << 40, /*trace=*/UINT64_MAX));
+
+  SloAlert alert;
+  alert.id = 3;
+  alert.rule = SloRule::kP99Latency;
+  std::ostringstream os;
+  WriteFlightDump(os, flight, &alert);
+  std::istringstream is(os.str());
+  const StatusOr<FlightDump> dump = ReadFlightDump(is);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+
+  EXPECT_EQ(dump->sources, flight.source_labels());
+  EXPECT_EQ(dump->alert_json, SloAlertJson(alert));
+  const std::vector<FlightRecord> written = flight.Snapshot();
+  ASSERT_EQ(dump->records.size(), written.size());
+  for (std::size_t i = 0; i < written.size(); ++i) {
+    const FlightRecord& got = dump->records[i];
+    const FlightRecord& want = written[i];
+    EXPECT_EQ(got.ticket, want.ticket);
+    EXPECT_EQ(got.source, want.source);
+    EXPECT_EQ(got.phase, want.phase);
+    EXPECT_EQ(got.pid, want.pid);
+    EXPECT_EQ(got.tid, want.tid);
+    EXPECT_EQ(got.ts, want.ts);
+    EXPECT_EQ(got.dur, want.dur);
+    EXPECT_EQ(got.seq, want.seq);
+    EXPECT_EQ(got.arg0, want.arg0);
+    EXPECT_EQ(got.epoch, want.epoch);
+    EXPECT_EQ(got.order, want.order);
+    EXPECT_EQ(got.trace, want.trace);
+  }
+}
+
+TEST(FlightRecorderTest, ReaderRejectsMalformedDumps) {
+  const std::string header =
+      "{\"schema\":\"nearpm-flight-v1\",\"capacity\":16,\"accepted\":1,"
+      "\"dropped\":0,\"sources\":[\"node0\"]}\n";
+  const std::string record =
+      "{\"ticket\":0,\"source\":0,\"phase\":\"serve_request\",\"pid\":4,"
+      "\"tid\":0,\"ts\":5,\"dur\":10,\"seq\":0,\"arg0\":0,\"epoch\":0,"
+      "\"order\":0,\"trace\":7}";
+  {
+    std::istringstream is(header + record + "\n");
+    ASSERT_TRUE(ReadFlightDump(is).ok()) << "the base case must load";
+  }
+  const auto replace = [&record](const std::string& from,
+                                 const std::string& to) {
+    std::string bad = record;
+    bad.replace(bad.find(from), from.size(), to);
+    return bad;
+  };
+  // Trailing bytes, a negative ts, a pid past 32 bits, an unlisted source, a
+  // missing key, an unknown key, an unknown phase, trailing bytes after the
+  // header, another schema, and no header at all.
+  const std::vector<std::string> bad_dumps = {
+      header + record + "x\n",
+      header + replace("\"ts\":5", "\"ts\":-5") + "\n",
+      header + replace("\"pid\":4", "\"pid\":4294967299") + "\n",
+      header + replace("\"source\":0", "\"source\":1") + "\n",
+      header + replace(",\"trace\":7", "") + "\n",
+      header + replace("\"trace\":7", "\"trace\":7,\"x\":1") + "\n",
+      header + replace("serve_request", "nonsense") + "\n",
+      header.substr(0, header.size() - 1) + " x\n" + record,
+      "{\"schema\":\"other\"}\n",
+      "",
+  };
+  for (const std::string& text : bad_dumps) {
+    std::istringstream is(text);
+    EXPECT_FALSE(ReadFlightDump(is).ok()) << "accepted:\n" << text;
+  }
 }
 
 // ---- Sliding window -------------------------------------------------------
@@ -315,31 +400,57 @@ TEST(SloWatchdogTest, StallFractionRuleFiresOnRejectedDelta) {
 }
 
 // ---- Serving-layer integration --------------------------------------------
+// The tight- and clean-SLO cases run over both tiers: the single-copy
+// service (sources shard<N>) and the replicated one (2 groups x 2 replicas,
+// sources node<N> plus fabric). The watchdog lives in the shared front end,
+// so only the service and the window width differ. A window is sized to
+// its tier's simulated run so checks come due; a replicated put commits
+// over the fabric and takes several times longer.
 
-serve::ServeOptions ObsServeOptions() {
-  serve::ServeOptions so;
-  so.shards = 2;
-  so.workers_per_shard = 1;
-  so.queue_capacity = 256;
-  so.batch_max = 4;
-  so.table_slots = 128;
-  so.value_size = 16;
-  return so;
+enum class Tier { kSingleCopy, kReplicated };
+
+const char* TierName(Tier tier) {
+  return tier == Tier::kReplicated ? "repl" : "serve";
 }
 
-TEST(KvServiceObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
+std::unique_ptr<serve::FrontEnd> MakeObsService(Tier tier, const SloSpec& slo,
+                                                const std::string& dump_path) {
+  serve::FrontEndOptions fo;
+  fo.workers_per_shard = 1;
+  fo.queue_capacity = 256;
+  fo.batch_max = 4;
+  fo.table_slots = 128;
+  fo.value_size = 16;
+  fo.slo = slo;
+  fo.slo_dump_path = dump_path;
+  if (tier == Tier::kReplicated) {
+    repl::ReplOptions ro;
+    static_cast<serve::FrontEndOptions&>(ro) = fo;
+    ro.groups = 2;
+    ro.replicas = 2;
+    auto svc = repl::ReplicatedKvService::Create(ro);
+    EXPECT_TRUE(svc.ok()) << svc.status().ToString();
+    return svc.ok() ? std::move(*svc) : nullptr;
+  }
+  serve::ServeOptions so;
+  static_cast<serve::FrontEndOptions&>(so) = fo;
+  so.shards = 2;
+  auto svc = serve::KvService::Create(so);
+  EXPECT_TRUE(svc.ok()) << svc.status().ToString();
+  return svc.ok() ? std::move(*svc) : nullptr;
+}
+
+void CheckTightSloDumpsABreach(Tier tier, double window_ns) {
   const std::string dump_path =
-      ::testing::TempDir() + "/nearpm_obs_serve_breach.jsonl";
+      ::testing::TempDir() + "/nearpm_obs_" + TierName(tier) + "_breach.jsonl";
   std::remove(dump_path.c_str());
 
-  serve::ServeOptions so = ObsServeOptions();
-  so.slo_enabled = true;
-  so.slo.p99_ns = 1;       // every real request breaches
-  so.slo.window_ns = 8000; // sized to the sim run so checks come due
-  so.slo.min_requests = 8;
-  so.slo_dump_path = dump_path;
-  auto svc = serve::KvService::Create(so);
-  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  SloSpec slo;
+  slo.p99_ns = 1;  // every real request breaches
+  slo.window_ns = window_ns;
+  slo.min_requests = 8;
+  const auto svc = MakeObsService(tier, slo, dump_path);
+  ASSERT_NE(svc, nullptr);
 
   std::vector<std::future<serve::ServeResult>> futures;
   for (std::uint64_t key = 0; key < 64; ++key) {
@@ -347,11 +458,11 @@ TEST(KvServiceObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
     req.kind = serve::RequestKind::kPut;
     req.key = key;
     req.value.assign(16, static_cast<std::uint8_t>(key));
-    auto fut = (*svc)->Submit(std::move(req));
+    auto fut = svc->Submit(std::move(req));
     ASSERT_TRUE(fut.ok());
     futures.push_back(std::move(*fut));
   }
-  (*svc)->Pump();
+  svc->Pump();
 
   std::set<std::uint64_t> issued;
   for (auto& fut : futures) {
@@ -362,9 +473,9 @@ TEST(KvServiceObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
   }
   EXPECT_EQ(issued.size(), futures.size()) << "trace ids are unique";
 
-  ASSERT_NE((*svc)->watchdog(), nullptr);
-  EXPECT_GE((*svc)->watchdog()->alert_count(), 1u);
-  const std::vector<SloAlert> alerts = (*svc)->watchdog()->alerts();
+  ASSERT_NE(svc->watchdog(), nullptr);
+  EXPECT_GE(svc->watchdog()->alert_count(), 1u);
+  const std::vector<SloAlert> alerts = svc->watchdog()->alerts();
   ASSERT_FALSE(alerts.empty());
   ASSERT_FALSE(alerts[0].window.slowest.empty());
   for (const SlowRequest& slow : alerts[0].window.slowest) {
@@ -378,11 +489,14 @@ TEST(KvServiceObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
   ASSERT_TRUE(std::getline(in, header));
   EXPECT_NE(header.find("\"schema\":\"nearpm-flight-v1\""),
             std::string::npos);
-  EXPECT_NE(header.find("\"sources\":[\"shard0\",\"shard1\"]"),
-            std::string::npos);
+  const char* sources_json = R"("sources":["shard0","shard1"])";
+  if (tier == Tier::kReplicated) {
+    sources_json = R"("sources":["node0","node1","node2","node3","fabric"])";
+  }
+  EXPECT_NE(header.find(sources_json), std::string::npos) << header;
 
-  // The breach's slow ids resolve against the quiesced shard traces.
-  std::vector<TimelineSource> sources = (*svc)->TimelineSources();
+  // The breach's slow ids resolve against the quiesced node traces.
+  std::vector<TimelineSource> sources = svc->TimelineSources();
   const std::vector<std::uint64_t> ids = ListTraceIds(sources);
   EXPECT_EQ(ids.size(), issued.size());
   const RequestTimeline timeline =
@@ -392,43 +506,58 @@ TEST(KvServiceObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
   std::remove(dump_path.c_str());
 }
 
-TEST(KvServiceObsTest, WindowSnapshotSeesTheRunAndCleanSloStaysQuiet) {
+void CheckCleanSloStaysQuiet(Tier tier) {
   const std::string dump_path =
-      ::testing::TempDir() + "/nearpm_obs_serve_clean.jsonl";
+      ::testing::TempDir() + "/nearpm_obs_" + TierName(tier) + "_clean.jsonl";
   std::remove(dump_path.c_str());
 
-  serve::ServeOptions so = ObsServeOptions();
-  so.slo_enabled = true;
-  so.slo.p99_ns = 1e12;
-  so.slo.min_requests = 8;
-  so.slo_dump_path = dump_path;
-  auto svc = serve::KvService::Create(so);
-  ASSERT_TRUE(svc.ok()) << svc.status().ToString();
+  SloSpec slo;
+  slo.p99_ns = 1e12;
+  slo.min_requests = 8;
+  const auto svc = MakeObsService(tier, slo, dump_path);
+  ASSERT_NE(svc, nullptr);
 
   for (std::uint64_t key = 0; key < 32; ++key) {
     serve::ServeRequest req;
     req.kind = serve::RequestKind::kPut;
     req.key = key;
     req.value.assign(16, static_cast<std::uint8_t>(key));
-    ASSERT_TRUE((*svc)->Submit(std::move(req)).ok());
+    ASSERT_TRUE(svc->Submit(std::move(req)).ok());
   }
-  (*svc)->Pump();
+  svc->Pump();
 
-  const obs::WindowStats stats =
-      (*svc)->WindowSnapshot((*svc)->Stats().makespan_ns);
+  const obs::WindowStats stats = svc->WindowSnapshot(svc->Stats().makespan_ns);
   EXPECT_EQ(stats.count, 32u);
   EXPECT_EQ(stats.errors, 0u);
   EXPECT_FALSE(stats.slowest.empty());
 
-  EXPECT_EQ((*svc)->watchdog()->alert_count(), 0u);
+  ASSERT_NE(svc->watchdog(), nullptr);
+  EXPECT_GE(svc->watchdog()->checks(), 1u);
+  EXPECT_EQ(svc->watchdog()->alert_count(), 0u);
   std::ifstream in(dump_path);
   EXPECT_FALSE(in.good()) << "a clean run must not write a dump";
 
   // The always-on black box is dumpable without any breach.
   std::ostringstream os;
-  ASSERT_TRUE((*svc)->DumpFlightRecord(os));
+  ASSERT_TRUE(svc->DumpFlightRecord(os));
   EXPECT_NE(os.str().find("\"schema\":\"nearpm-flight-v1\""),
             std::string::npos);
+}
+
+TEST(KvServiceObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
+  CheckTightSloDumpsABreach(Tier::kSingleCopy, /*window_ns=*/8000);
+}
+
+TEST(KvServiceObsTest, WindowSnapshotSeesTheRunAndCleanSloStaysQuiet) {
+  CheckCleanSloStaysQuiet(Tier::kSingleCopy);
+}
+
+TEST(ReplObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
+  CheckTightSloDumpsABreach(Tier::kReplicated, /*window_ns=*/80000);
+}
+
+TEST(ReplObsTest, WindowSnapshotSeesTheRunAndCleanSloStaysQuiet) {
+  CheckCleanSloStaysQuiet(Tier::kReplicated);
 }
 
 // ---- Cross-replica timeline -----------------------------------------------

@@ -178,9 +178,12 @@ TEST(ProfileTest, OccupancySeriesCoverFifoAndInflightTable) {
 
 TEST(RawTraceTest, RoundTripsLosslessly) {
   TraceRecorder recorder;
-  const auto events =
-      TraceWorkload("btree", ExecMode::kNdpMultiDelayed, &recorder,
-                    /*ops=*/30);
+  auto events = TraceWorkload("btree", ExecMode::kNdpMultiDelayed, &recorder,
+                              /*ops=*/30);
+  // A workload trace is not request-scoped; give it trace ids to carry.
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    events[i].trace = i % 3 == 0 ? 0 : UINT64_MAX - i;
+  }
   std::ostringstream os;
   WriteRawTrace(events, os);
 
@@ -202,6 +205,7 @@ TEST(RawTraceTest, RoundTripsLosslessly) {
     EXPECT_EQ(parsed[i].arg1, events[i].arg1);
     EXPECT_EQ(parsed[i].epoch, events[i].epoch);
     EXPECT_EQ(parsed[i].order, events[i].order);
+    EXPECT_EQ(parsed[i].trace, events[i].trace);
   }
 }
 
@@ -211,6 +215,44 @@ TEST(RawTraceTest, RejectsMalformedInput) {
   std::string error;
   EXPECT_FALSE(ReadRawTrace(is, &parsed, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos);
+
+  const std::string line =
+      "{\"phase\":\"cpu_persist\",\"pid\":1,\"tid\":0,\"ts\":5,\"dur\":2,"
+      "\"seq\":0,\"range\":[64,128],\"range2\":[0,0],\"arg0\":0,\"arg1\":0,"
+      "\"epoch\":0,\"order\":3,\"trace\":9}";
+  const auto replace = [&line](const std::string& from,
+                               const std::string& to) {
+    std::string bad = line;
+    bad.replace(bad.find(from), from.size(), to);
+    return bad;
+  };
+  {
+    // Lines from before request-scoped tracing carry no trace key.
+    std::istringstream legacy(line + "\n" + replace(",\"trace\":9", "") + "\n");
+    std::vector<TraceEvent> events;
+    ASSERT_TRUE(ReadRawTrace(legacy, &events, &error)) << error;
+    ASSERT_EQ(events.size(), 2u);
+    EXPECT_EQ(events[0].trace, 9u);
+    EXPECT_EQ(events[1].trace, 0u);
+    EXPECT_EQ(events[1].range, (AddrRange{64, 128}));
+  }
+  // Trailing bytes, a negative ts, a pid and an epoch past 32 bits, a short
+  // range, a missing key and an unknown key.
+  const std::vector<std::string> bad_lines = {
+      line + "x",
+      replace("\"ts\":5", "\"ts\":-5"),
+      replace("\"pid\":1", "\"pid\":4294967299"),
+      replace("\"epoch\":0", "\"epoch\":4294967296"),
+      replace("[64,128]", "[64]"),
+      replace(",\"order\":3", ""),
+      replace("\"trace\":9", "\"trace\":9,\"x\":0"),
+  };
+  for (const std::string& bad : bad_lines) {
+    std::istringstream in(line + "\n" + bad + "\n");
+    std::vector<TraceEvent> events;
+    EXPECT_FALSE(ReadRawTrace(in, &events, &error)) << "accepted " << bad;
+    EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  }
 }
 
 // ---- Renderers --------------------------------------------------------------

@@ -36,6 +36,21 @@ TraceEvent Instant(TracePhase phase, std::uint32_t pid, std::uint32_t tid,
 
 // ---- Recorder ---------------------------------------------------------------
 
+// The name table replaced a switch, which the compiler checked for a
+// missing phase; this checks it instead.
+TEST(TracePhaseNamesTest, NameEveryPhaseOnceAndParseBack) {
+  std::set<std::string> names;
+  for (int i = 0; i < static_cast<int>(TracePhase::kCount); ++i) {
+    const auto phase = static_cast<TracePhase>(i);
+    const std::string name = TracePhaseName(phase);
+    EXPECT_NE(name, "unknown") << "phase " << i << " has no name";
+    EXPECT_TRUE(names.insert(name).second) << name << " names two phases";
+    EXPECT_EQ(TracePhaseNames().Parse(name), phase) << name;
+  }
+  EXPECT_EQ(TracePhaseNames().All().size(), names.size());
+  EXPECT_FALSE(TracePhaseNames().Parse("nonsense").has_value());
+}
+
 TEST(TraceRecorderTest, AssignsMonotonicOrderAndEpochs) {
   TraceRecorder recorder;
   recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, 10));

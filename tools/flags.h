@@ -1,10 +1,12 @@
-// Command-line flag helpers shared by the tools: one strict unsigned parser
-// and the two flag shapes the tools accept.
+// Command-line flag helpers shared by the tools: strict unsigned and double
+// parsers and the two flag shapes the tools accept.
 #ifndef TOOLS_FLAGS_H_
 #define TOOLS_FLAGS_H_
 
+#include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +41,24 @@ inline bool ParseCount(const char* text, int* out) {
     return false;
   }
   *out = static_cast<int>(n);
+  return true;
+}
+
+// A finite decimal or scientific number, the whole text and nothing else:
+// no leading blanks, and no nan, inf or out-of-range value such as 1e999.
+// Range checks beyond finiteness are the caller's.
+inline bool ParseDouble(const char* text, double* out) {
+  if (text == nullptr || *text == '\0' ||
+      std::isspace(static_cast<unsigned char>(*text)) != 0) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 

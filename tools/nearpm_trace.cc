@@ -31,7 +31,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -49,74 +48,6 @@
 namespace nearpm {
 namespace {
 
-bool LookupPhase(const char* name, TracePhase* out) {
-  for (int i = 0; i < static_cast<int>(TracePhase::kCount); ++i) {
-    const auto phase = static_cast<TracePhase>(i);
-    if (std::strcmp(TracePhaseName(phase), name) == 0) {
-      *out = phase;
-      return true;
-    }
-  }
-  return false;
-}
-
-// Reads the dump's header object: schema check, source labels, and the
-// alert payload when one is embedded (kept as its own JSON text).
-bool ParseFlightHeader(const std::string& line,
-                       std::vector<std::string>* labels,
-                       std::string* alert_json, std::string* error) {
-  const StatusOr<JsonValue> header = ParseJson(line);
-  if (!header.ok()) {
-    *error = "header: " + header.status().message();
-    return false;
-  }
-  const JsonValue* schema = header->Find("schema");
-  if (schema == nullptr || schema->str != obs::kFlightSchema) {
-    *error = "header does not carry schema \"" +
-             std::string(obs::kFlightSchema) + "\"";
-    return false;
-  }
-  const JsonValue* sources = header->Find("sources");
-  if (sources == nullptr || sources->kind != JsonValue::Kind::kArray) {
-    *error = "header has no sources array";
-    return false;
-  }
-  for (const JsonValue& label : sources->items) {
-    if (label.kind != JsonValue::Kind::kString) {
-      *error = "source labels must be strings";
-      return false;
-    }
-    labels->push_back(label.str);
-  }
-  if (const JsonValue* alert = header->Find("alert"); alert != nullptr) {
-    if (alert->kind != JsonValue::Kind::kObject) {
-      *error = "header alert must be an object";
-      return false;
-    }
-    *alert_json = line.substr(alert->begin, alert->end - alert->begin);
-  }
-  return true;
-}
-
-// Parses one compacted record line (the exact format WriteRecords emits).
-// Ranges and arg1 are not in the compacted form and stay zero.
-bool ParseFlightRecord(const std::string& line, std::uint32_t* source,
-                       TraceEvent* event) {
-  char phase_name[64] = {};
-  std::uint64_t ticket = 0;
-  const int n = std::sscanf(
-      line.c_str(),
-      "{\"ticket\":%" SCNu64 ",\"source\":%" SCNu32
-      ",\"phase\":\"%63[^\"]\",\"pid\":%" SCNu32 ",\"tid\":%" SCNu32
-      ",\"ts\":%" SCNu64 ",\"dur\":%" SCNu64 ",\"seq\":%" SCNu64
-      ",\"arg0\":%" SCNu64 ",\"epoch\":%" SCNu32 ",\"order\":%" SCNu64
-      ",\"trace\":%" SCNu64 "}",
-      &ticket, source, phase_name, &event->pid, &event->tid, &event->ts,
-      &event->dur, &event->seq, &event->arg0, &event->epoch, &event->order,
-      &event->trace);
-  return n == 12 && LookupPhase(phase_name, &event->phase);
-}
-
 bool LoadFlightDump(const std::string& path,
                     std::vector<TimelineSource>* sources,
                     std::string* alert_json, std::string* error) {
@@ -125,35 +56,31 @@ bool LoadFlightDump(const std::string& path,
     *error = "cannot open " + path;
     return false;
   }
-  std::string line;
-  if (!std::getline(in, line)) {
-    *error = path + ": empty file";
-    return false;
-  }
-  std::vector<std::string> labels;
-  if (!ParseFlightHeader(line, &labels, alert_json, error)) {
-    *error = path + ": " + *error;
+  const StatusOr<obs::FlightDump> dump = obs::ReadFlightDump(in);
+  if (!dump.ok()) {
+    *error = path + ": " + dump.status().message();
     return false;
   }
   const std::size_t base = sources->size();
-  for (const std::string& label : labels) {
+  for (const std::string& label : dump->sources) {
     sources->push_back(TimelineSource{label, {}});
   }
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) {
-      continue;
-    }
-    std::uint32_t source = 0;
+  // The compacted form drops ranges and arg1; they stay zero.
+  for (const obs::FlightRecord& r : dump->records) {
     TraceEvent event;
-    if (!ParseFlightRecord(line, &source, &event) ||
-        source >= labels.size()) {
-      *error = path + ": malformed record at line " + std::to_string(line_no);
-      return false;
-    }
-    (*sources)[base + source].events.push_back(event);
+    event.phase = r.phase;
+    event.pid = r.pid;
+    event.tid = r.tid;
+    event.ts = r.ts;
+    event.dur = r.dur;
+    event.seq = r.seq;
+    event.arg0 = r.arg0;
+    event.epoch = r.epoch;
+    event.order = r.order;
+    event.trace = r.trace;
+    (*sources)[base + r.source].events.push_back(event);
   }
+  *alert_json = dump->alert_json;
   return true;
 }
 
