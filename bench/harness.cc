@@ -219,12 +219,6 @@ int BenchMain(int argc, char** argv, const std::string& figure) {
       std::fprintf(stderr, "failed to write trace to %s\n", trace_out.c_str());
       return 1;
     }
-    std::fprintf(stderr,
-                 "trace: %llu events on %zu tracks (%llu dropped) -> %s\n",
-                 static_cast<unsigned long long>(g_bench_trace->recorded()),
-                 g_bench_trace->track_count(),
-                 static_cast<unsigned long long>(g_bench_trace->dropped()),
-                 trace_out.c_str());
     std::fputs(g_bench_trace->metrics().Report().c_str(), stderr);
   }
   if (!metrics_out.empty()) {

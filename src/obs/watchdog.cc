@@ -62,9 +62,8 @@ std::string SloAlertJson(const SloAlert& alert) {
 void WriteFlightDump(std::ostream& os, const FlightRecorder& flight,
                      const SloAlert* alert) {
   os << "{\"schema\":\"" << kFlightSchema << "\""
-     << ",\"capacity\":" << flight.capacity()
-     << ",\"accepted\":" << flight.accepted()
-     << ",\"dropped\":" << flight.dropped() << ",\"sources\":[";
+     << ",\"capacity\":" << FlightRecorder::kEventsPerSource
+     << ",\"accepted\":" << flight.accepted() << ",\"sources\":[";
   const std::vector<std::string>& labels = flight.source_labels();
   for (std::size_t i = 0; i < labels.size(); ++i) {
     os << (i > 0 ? "," : "") << JsonQuote(labels[i]);
@@ -189,6 +188,10 @@ void SloWatchdog::EmitAlert(const SloAlert& alert, TraceRecorder* recorder) {
     std::ofstream out(options_.dump_path, std::ios::trunc);
     if (out) {
       WriteFlightDump(out, *options_.flight, &alert);
+      out.close();
+    }
+    if (!out) {
+      dump_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }

@@ -7,9 +7,10 @@
 //      as one JSON object, and recorded as a kSloAlert instant on the
 //      caller's trace;
 //   2. a flight-record dump: the schema-versioned JSONL black box
-//      (header line with the alert context, then the compacted event ring),
-//      written to the configured path so "open the dump" replaces "rerun
-//      and bisect";
+//      (header line with the alert context, then each source's newest
+//      events), written to the configured path so "open the dump" replaces
+//      "rerun and bisect"; a dump that cannot be written is counted
+//      (dump_failures), never silent;
 //   3. a cooldown: further checks stay quiet for one window, so an ongoing
 //      overload produces one dump per window, not one per batch.
 //
@@ -60,16 +61,16 @@ struct SloAlert {
 std::string SloAlertJson(const SloAlert& alert);
 
 // Writes the schema-versioned flight dump: a header object carrying the
-// schema tag, ring statistics, source labels and (when non-null) the alert,
-// followed by one compacted record per line. This is the DumpFlightRecord
-// payload and must stay in sync with tools/nearpm_trace's reader.
+// schema tag, the per-source budget, the events accepted, the source labels
+// and (when non-null) the alert, followed by one record line per event.
+// ReadFlightDump (flight_recorder.h) reads it back.
 void WriteFlightDump(std::ostream& os, const FlightRecorder& flight,
                      const SloAlert* alert);
 
 struct WatchdogOptions {
   SloSpec spec;
   // Flight recorder to dump on breach (not owned; may be null).
-  FlightRecorder* flight = nullptr;
+  const FlightRecorder* flight = nullptr;
   // Breach dump target. Empty = keep the alert in memory only. The file is
   // (re)written on each alert, so a clean run never creates it.
   std::string dump_path;
@@ -109,6 +110,10 @@ class SloWatchdog {
   std::uint64_t alert_count() const {
     return alert_count_.load(std::memory_order_relaxed);
   }
+  // Breach dumps that could not be opened or written.
+  std::uint64_t dump_failures() const {
+    return dump_failures_.load(std::memory_order_relaxed);
+  }
 
  private:
   bool Evaluate(SimTime now, const std::vector<const SlidingWindow*>& windows,
@@ -121,6 +126,7 @@ class SloWatchdog {
   std::atomic<std::uint64_t> next_check_ns_{0};
   std::atomic<std::uint64_t> checks_{0};
   std::atomic<std::uint64_t> alert_count_{0};
+  std::atomic<std::uint64_t> dump_failures_{0};
   mutable std::mutex mu_;
   SimTime cooldown_until_ns_ = 0;
   std::uint64_t prev_stalled_ = 0;

@@ -36,9 +36,19 @@ struct SliceBuilder {
 
 // Closes a builder against its kUnitExec event. Returns false when the
 // recorded windows do not tile the span exactly -- an attribution
-// violation, meaning instrumentation and profiler disagree.
+// violation, meaning instrumentation and profiler disagree; `out` then
+// carries the slice's identity only.
 bool FinalizeSlice(const SliceBuilder& b, const TraceEvent& exec,
                    RequestSlice* out) {
+  out->seq = exec.seq;
+  out->trace = b.trace != 0 ? b.trace : exec.trace;
+  out->epoch = b.epoch;
+  out->device_pid = exec.pid;
+  out->unit_tid = exec.tid;
+  out->op = b.op;
+  out->post_ts = b.post_ts;
+  out->completion = exec.end();
+
   // Continuity: each window must start where the previous one ended.
   if (!b.has_pipeline || b.pipe_ts != b.post_end) return false;
   if (b.nominal_release < b.post_ts || b.nominal_release > b.post_end) {
@@ -49,14 +59,6 @@ bool FinalizeSlice(const SliceBuilder& b, const TraceEvent& exec,
   const SimTime ready = b.has_stall ? b.stall_end : b.start_lb;
   if (exec.ts < ready || exec.end() < exec.ts) return false;
 
-  out->seq = exec.seq;
-  out->trace = b.trace != 0 ? b.trace : exec.trace;
-  out->epoch = b.epoch;
-  out->device_pid = exec.pid;
-  out->unit_tid = exec.tid;
-  out->op = b.op;
-  out->post_ts = b.post_ts;
-  out->completion = exec.end();
   auto set = [out](AttrPhase p, SimTime v) {
     out->phase_ns[static_cast<int>(p)] = v;
   };
@@ -219,7 +221,7 @@ Profile BuildProfile(const std::vector<TraceEvent>& events,
           }
           profile.slices.push_back(slice);
         } else {
-          ++profile.attribution_violations;
+          profile.attribution_violations.push_back(slice);
         }
         open.erase(it);
         break;

@@ -121,10 +121,12 @@ struct Profile {
   // Per-request attribution. `slices` is in trace record order.
   std::vector<RequestSlice> slices;
   std::uint64_t incomplete_slices = 0;  // partial lifecycles (ring drops)
-  // Slices whose phase sum failed to tile the span exactly. Always zero on
-  // a healthy build; a nonzero value means the device instrumentation and
-  // the profiler disagree about the timeline.
-  std::uint64_t attribution_violations = 0;
+  // Slices whose recorded windows failed to tile the span exactly, in
+  // record order, with their identity (seq, trace, device, unit, post and
+  // completion times) but no trustworthy phases. Always empty on a healthy
+  // build; an entry means the device instrumentation and the profiler
+  // disagree about the timeline.
+  std::vector<RequestSlice> attribution_violations;
   SimTime total_span_ns = 0;                     // sum of slice spans
   SimTime phase_total_ns[kNumAttrPhases] = {};   // per-phase sums
   std::vector<std::size_t> slowest;              // indices, span descending

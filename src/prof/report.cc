@@ -70,9 +70,9 @@ std::string RenderReport(const Profile& profile) {
             profile.epochs);
   AppendRow(out,
             "request slices: %zu (incomplete: %" PRIu64
-            ", attribution violations: %" PRIu64 ")\n",
+            ", attribution violations: %zu)\n",
             profile.slices.size(), profile.incomplete_slices,
-            profile.attribution_violations);
+            profile.attribution_violations.size());
 
   if (!profile.slices.empty()) {
     out += "\n-- critical-path attribution (phase sum == end-to-end span on "
@@ -183,7 +183,7 @@ std::string RenderProfileJson(const Profile& profile,
   out += "    \"incomplete\": " + std::to_string(profile.incomplete_slices) +
          ",\n";
   out += "    \"attribution_violations\": " +
-         std::to_string(profile.attribution_violations) + ",\n";
+         std::to_string(profile.attribution_violations.size()) + ",\n";
   out += "    \"total_span_ns\": " + std::to_string(profile.total_span_ns) +
          ",\n";
   out += "    \"phases_ns\": {";

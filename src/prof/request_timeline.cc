@@ -25,15 +25,6 @@ std::string Micros(SimTime ns) {
 
 }  // namespace
 
-bool RequestTimeline::AttributionHolds() const {
-  for (const RequestSlice& slice : slices) {
-    if (slice.PhaseSum() != slice.span_ns()) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::vector<std::uint64_t> ListTraceIds(
     const std::vector<TimelineSource>& sources) {
   std::set<std::uint64_t> ids;
@@ -76,6 +67,11 @@ RequestTimeline BuildRequestTimeline(
         timeline.slices.push_back(slice);
       }
     }
+    for (const RequestSlice& slice : profile.attribution_violations) {
+      if (slice.trace == trace_id) {
+        timeline.attribution_violations.push_back(slice);
+      }
+    }
   }
   std::sort(timeline.hops.begin(), timeline.hops.end(),
             [](const TimelineHop& a, const TimelineHop& b) {
@@ -105,8 +101,18 @@ void RenderRequestTimeline(const RequestTimeline& timeline, std::ostream& os) {
   }
   os << "  span: " << timeline.span_ns() << " ns [" << timeline.start
      << " .. " << timeline.end << "]\n";
-  os << "  attribution invariant: "
-     << (timeline.AttributionHolds() ? "holds" : "VIOLATED") << "\n";
+  os << "  attribution invariant: ";
+  if (timeline.AttributionHolds()) {
+    os << "holds\n";
+  } else {
+    const std::size_t broken = timeline.attribution_violations.size();
+    os << "VIOLATED by " << broken << " device slices:\n";
+    for (const RequestSlice& slice : timeline.attribution_violations) {
+      os << "    seq " << slice.seq << " pid " << slice.device_pid;
+      os << " unit " << slice.unit_tid << ": span=" << slice.span_ns();
+      os << " does not tile\n";
+    }
+  }
   os << "  hops:\n";
   SimTime prev_end = timeline.start;
   for (const TimelineHop& hop : timeline.hops) {

@@ -26,17 +26,10 @@
 #include <vector>
 
 #include "src/prof/profile.h"
+#include "src/trace/recorder.h"
 #include "src/trace/trace_event.h"
 
 namespace nearpm {
-
-// One labeled event stream (one recorder's snapshot). Events within a
-// source share an `order` sequence; across sources only simulated time is
-// comparable.
-struct TimelineSource {
-  std::string label;  // "shard0", "fabric", "node2", ...
-  std::vector<TraceEvent> events;
-};
 
 // One event of the request, tagged with the source it came from.
 struct TimelineHop {
@@ -52,13 +45,18 @@ struct RequestTimeline {
   // Device slices belonging to the request (one per device command the
   // request issued, across every node), with the seven-phase attribution.
   std::vector<RequestSlice> slices;
+  // The request's device commands whose recorded windows do not tile their
+  // span (Profile::attribution_violations). A lifecycle cut off at the
+  // start or end of a source is incomplete, not listed here.
+  std::vector<RequestSlice> attribution_violations;
   SimTime start = 0;  // earliest event start
   SimTime end = 0;    // latest event end
 
   SimTime span_ns() const { return end > start ? end - start : 0; }
   bool empty() const { return hops.empty(); }
-  // True when every slice tiles its span exactly (the profiler invariant).
-  bool AttributionHolds() const;
+  // True when every device command of the request tiles its span exactly
+  // (the profiler invariant).
+  bool AttributionHolds() const { return attribution_violations.empty(); }
 };
 
 // Distinct nonzero trace ids present in `sources`, ascending.

@@ -1,6 +1,7 @@
 #include "src/serve/front_end.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/prof/profile.h"
@@ -88,23 +89,20 @@ Status FrontEnd::CreateNodes(TraceRecorder* fabric) {
     nodes_.push_back(std::move(*shard));
   }
 
-  // One flight ring fed by every node recorder and then the fabric's, so
-  // the black box covers in-flight messages too.
+  // The black box reads every node recorder and then the fabric's, so it
+  // covers in-flight messages too.
   fabric_ = fabric;
-  if (front_.flight_capacity > 0) {
-    flight_ = std::make_unique<obs::FlightRecorder>(front_.flight_capacity);
-    for (auto& node : nodes_) {
-      node->recorder().AttachSink(
-          flight_->RegisterSource(node_label_ + std::to_string(node->id())));
-    }
-    if (fabric_ != nullptr) {
-      fabric_->AttachSink(flight_->RegisterSource("fabric"));
-    }
+  for (auto& node : nodes_) {
+    flight_.AddSource(node_label_ + std::to_string(node->id()),
+                      &node->recorder());
+  }
+  if (fabric_ != nullptr) {
+    flight_.AddSource("fabric", fabric_);
   }
   if (front_.slo) {
     obs::WatchdogOptions wd;
     wd.spec = *front_.slo;
-    wd.flight = flight_.get();
+    wd.flight = &flight_;
     wd.dump_path = front_.slo_dump_path;
     watchdog_ = std::make_unique<obs::SloWatchdog>(wd);
   }
@@ -251,26 +249,8 @@ obs::WindowStats FrontEnd::WindowSnapshot(SimTime now) const {
   return obs::SlidingWindow::Merge(window_ptrs_, now);
 }
 
-bool FrontEnd::DumpFlightRecord(std::ostream& os) const {
-  if (flight_ == nullptr) {
-    return false;
-  }
-  obs::WriteFlightDump(os, *flight_, nullptr);
-  return true;
-}
-
-std::vector<TimelineSource> FrontEnd::TimelineSources() {
-  std::vector<TimelineSource> sources;
-  sources.reserve(nodes_.size() + 1);
-  for (auto& node : nodes_) {
-    std::lock_guard lock(node->mu());
-    sources.push_back({node_label_ + std::to_string(node->id()),
-                       node->recorder().Snapshot()});
-  }
-  if (fabric_ != nullptr) {
-    sources.push_back({"fabric", fabric_->Snapshot()});
-  }
-  return sources;
+std::vector<TimelineSource> FrontEnd::TimelineSources() const {
+  return flight_.Snapshot(std::numeric_limits<std::size_t>::max());
 }
 
 void FrontEnd::FailQueued(int group) {
@@ -400,6 +380,8 @@ void FrontEnd::PublishMetrics() {
   if (watchdog_ != nullptr) {
     metrics_.Counter(prefix_ + "slo_checks").store(watchdog_->checks());
     metrics_.Counter(prefix_ + "slo_alerts").store(watchdog_->alert_count());
+    metrics_.Counter(prefix_ + "slo_dump_failures")
+        .store(watchdog_->dump_failures());
   }
   // The fabric's per-kind message/byte counters and transfer latencies.
   if (fabric_ != nullptr) {

@@ -34,7 +34,6 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -75,10 +74,6 @@ struct FrontEndOptions {
   // Device geometry shared by every node (and the fabric links, when there
   // is one). Default = seed platform.
   hwmodel::HwConfig hw;
-  // Flight-recorder budget in compacted events (0 disables it). Every node
-  // recorder (plus the fabric's) feeds the one shared ring, so the last N
-  // events the whole service produced are always dumpable.
-  std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
   // SLO watchdog: when set, `slo` is evaluated at batch boundaries over the
   // per-worker sliding windows, and a breach dumps the flight record to
   // `slo_dump_path` (empty = in-memory alert only). The windows take their
@@ -226,20 +221,18 @@ class FrontEnd {
   void ExportResourceMetrics();
 
   // ---- Live observability ---------------------------------------------------
-  // The shared flight recorder (null when flight_capacity == 0).
-  obs::FlightRecorder* flight() { return flight_.get(); }
+  // The flight recorder: a view over every node recorder and the fabric's
+  // (never null).
+  obs::FlightRecorder* flight() { return &flight_; }
   // The SLO watchdog (null unless FrontEndOptions::slo is set).
   obs::SloWatchdog* watchdog() { return watchdog_.get(); }
   // Merged sliding-window view across every (group, worker) window at sim
   // time `now` (pass Stats().makespan_ns for "end of run"). Safe mid-run.
   obs::WindowStats WindowSnapshot(SimTime now) const;
-  // Writes the schema-versioned flight dump (no alert context) to `os`.
-  // Returns false when the flight recorder is disabled.
-  bool DumpFlightRecord(std::ostream& os) const;
   // Labeled event-stream snapshots of every node recorder ("<label><N>")
-  // plus the fabric's ("fabric"), the input BuildRequestTimeline wants.
-  // Call quiesced (takes each node's lock).
-  std::vector<TimelineSource> TimelineSources();
+  // plus the fabric's ("fabric"), the input BuildRequestTimeline wants:
+  // everything each ring retains. Safe mid-run.
+  std::vector<TimelineSource> TimelineSources() const;
 
  protected:
   struct QueuedRequest {
@@ -255,8 +248,8 @@ class FrontEnd {
   // nodes in labels, reports and timeline sources ("shard").
   FrontEnd(const FrontEndOptions& options, int groups, int replicas,
            std::string metric_prefix, std::string node_label);
-  // Builds every node, wires its recorder -- then `fabric`'s, when
-  // non-null -- into the flight ring, and arms the SLO watchdog when the
+  // Builds every node, adds its recorder -- then `fabric`'s, when
+  // non-null -- to the flight recorder, and arms the SLO watchdog when the
   // options carry a spec. Call once, right after construction.
   Status CreateNodes(TraceRecorder* fabric);
 
@@ -340,7 +333,7 @@ class FrontEnd {
   std::atomic<std::uint64_t> trace_counter_{0};
   std::vector<obs::SlidingWindow> windows_;
   std::vector<const obs::SlidingWindow*> window_ptrs_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
+  obs::FlightRecorder flight_;
   std::unique_ptr<obs::SloWatchdog> watchdog_;
 
   std::vector<std::thread> workers_;  // last: they use everything above

@@ -1,6 +1,8 @@
 #include "src/trace/recorder.h"
 
 #include <algorithm>
+#include <array>
+#include <new>
 
 namespace nearpm {
 
@@ -71,53 +73,131 @@ bool TracePhaseIsCounter(TracePhase phase) {
          phase == TracePhase::kLsqDepth;
 }
 
+namespace {
+
+using Word = std::atomic_ref<std::uint64_t>;
+
+// An event's fields as whole words, so every slot store and load is one
+// atomic word and no padding byte is copied. A slot's last word holds the
+// event's order.
+using Fields = std::array<std::uint64_t, 12>;
+
+Fields Pack(const TraceEvent& e) {
+  Fields w{};
+  w[0] = (std::uint64_t{e.pid} << 32) | e.tid;
+  w[1] = (std::uint64_t{e.epoch} << 8) | static_cast<std::uint8_t>(e.phase);
+  w[2] = e.ts;
+  w[3] = e.dur;
+  w[4] = e.seq;
+  w[5] = e.range.begin;
+  w[6] = e.range.end;
+  w[7] = e.range2.begin;
+  w[8] = e.range2.end;
+  w[9] = e.arg0;
+  w[10] = e.arg1;
+  w[11] = e.trace;
+  return w;
+}
+
+TraceEvent Unpack(const Fields& w, std::uint64_t order) {
+  TraceEvent e;
+  e.pid = static_cast<std::uint32_t>(w[0] >> 32);
+  e.tid = static_cast<std::uint32_t>(w[0]);
+  e.epoch = static_cast<std::uint32_t>(w[1] >> 8);
+  e.phase = static_cast<TracePhase>(w[1] & 0xff);
+  e.ts = w[2];
+  e.dur = w[3];
+  e.seq = w[4];
+  e.range = {w[5], w[6]};
+  e.range2 = {w[7], w[8]};
+  e.arg0 = w[9];
+  e.arg1 = w[10];
+  e.trace = w[11];
+  e.order = order;
+  return e;
+}
+
+}  // namespace
+
 TraceRecorder::TraceRecorder(const TraceRecorderOptions& options)
-    : options_(options) {
-  if (options_.ring_capacity == 0) {
-    options_.ring_capacity = 1;
+    : capacity_(options.ring_capacity == 0 ? 1 : options.ring_capacity) {
+  static_assert(std::tuple_size_v<Fields> + 1 == kSlotWords);
+  void* slots = std::malloc(capacity_ * kSlotWords * sizeof(std::uint64_t));
+  if (slots == nullptr) {
+    throw std::bad_alloc();
   }
+  slots_.reset(static_cast<std::uint64_t*>(slots));
 }
 
 void TraceRecorder::Record(TraceEvent event) {
+  const std::uint64_t order = recorded_.load(std::memory_order_relaxed) + 1;
   event.epoch = epoch_;
-  event.order = ++order_;
+  event.order = order;
   if (event.trace == 0) {
     event.trace = active_trace_;
   }
-  ++recorded_;
-  const std::uint64_t key = TrackKey(event.pid, event.tid);
-  if (key != cached_track_key_) {
-    cached_track_ = &tracks_[key];
-    cached_track_key_ = key;
+  // Seqlock publication: the order word reads 0 while the other words are
+  // in flux. Every store is a release, so a reader whose acquire load sees
+  // any new word also sees the cleared order word and drops the slot.
+  std::uint64_t* slot = Slot(order);
+  Word stamp(slot[kSlotWords - 1]);
+  stamp.store(0, std::memory_order_relaxed);
+  const Fields fields = Pack(event);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    Word(slot[i]).store(fields[i], std::memory_order_release);
   }
-  Ring& ring = *cached_track_;
-  if (ring.events.size() < options_.ring_capacity) {
-    ring.events.push_back(event);
+  stamp.store(order, std::memory_order_release);
+  recorded_.store(order, std::memory_order_release);
+
+  // O(1) array bumps; the string-keyed registry is only touched when
+  // metrics() folds these in at scrape time.
+  const auto phase = static_cast<std::size_t>(event.phase);
+  if (TracePhaseIsCounter(event.phase)) {
+    // Counter samples track a level, not an occurrence: keep the last
+    // sampled value (exported as a gauge).
+    phase_gauge_[phase] = static_cast<double>(event.arg0);
+    phase_gauge_set_[phase] = true;
   } else {
-    ring.events[ring.next] = event;
-    ring.next = (ring.next + 1) % options_.ring_capacity;
-    ++ring.dropped;
-    ++dropped_;
-  }
-  if (sink_ != nullptr) {
-    sink_->Consume(event);
-  }
-  if (options_.feed_metrics) {
-    // O(1) array bumps; the string-keyed registry is only touched when
-    // metrics() folds these in at scrape time.
-    const auto phase = static_cast<std::size_t>(event.phase);
-    if (TracePhaseIsCounter(event.phase)) {
-      // Counter samples track a level, not an occurrence: keep the last
-      // sampled value (exported as a gauge).
-      phase_gauge_[phase] = static_cast<double>(event.arg0);
-      phase_gauge_set_[phase] = true;
-    } else {
-      ++phase_counts_[phase];
-      if (event.is_span()) {
-        phase_latency_[phase].Add(event.dur);
-      }
+    ++phase_counts_[phase];
+    if (event.is_span()) {
+      phase_latency_[phase].Add(event.dur);
     }
   }
+}
+
+bool TraceRecorder::LoadSlot(std::uint64_t order, TraceEvent* event) const {
+  std::uint64_t* slot = Slot(order);
+  Word stamp(slot[kSlotWords - 1]);
+  if (stamp.load(std::memory_order_acquire) != order) {
+    return false;
+  }
+  Fields fields{};
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    fields[i] = Word(slot[i]).load(std::memory_order_acquire);
+  }
+  if (stamp.load(std::memory_order_relaxed) != order) {
+    return false;  // the writer began overwriting it while we copied
+  }
+  *event = Unpack(fields, order);
+  return true;
+}
+
+std::vector<TraceEvent> TraceRecorder::Newest(std::size_t n) const {
+  const std::uint64_t newest = recorded();
+  const std::uint64_t count = std::min<std::uint64_t>({n, capacity_, newest});
+  std::vector<TraceEvent> out;
+  out.reserve(count);
+  for (std::uint64_t order = newest - count + 1; order <= newest; ++order) {
+    TraceEvent event;
+    if (!LoadSlot(order, &event)) {
+      // The writer lapped this slot while we read: what was copied so far
+      // is older than the hole, so only what follows it stays a suffix.
+      out.clear();
+      continue;
+    }
+    out.push_back(event);
+  }
+  return out;
 }
 
 void TraceRecorder::SyncPhaseMetrics() const {
@@ -136,55 +216,6 @@ void TraceRecorder::SyncPhaseMetrics() const {
       metrics_.SetGauge(TracePhaseName(phase), phase_gauge_[i]);
     }
   }
-}
-
-std::vector<TraceEvent> TraceRecorder::Snapshot() const {
-  // Tracks wrap independently, so the merged rings are not automatically a
-  // suffix of the global record stream: the busiest track may have
-  // overwritten events that calmer tracks' retained entries depend on
-  // (a dropped kRetire whose kUnitExec span survives reads as a PPO
-  // violation). Cut everything before the *latest* "oldest retained"
-  // position among wrapped tracks -- past that order, every track is
-  // complete, so the suffix replays exactly like the live stream did.
-  std::uint64_t cutoff = 0;
-  for (const auto& [key, ring] : tracks_) {
-    (void)key;
-    if (ring.dropped > 0) {
-      cutoff = std::max(cutoff, ring.events[ring.next].order);
-    }
-  }
-  std::vector<TraceEvent> out;
-  out.reserve(recorded_ > dropped_ ? recorded_ - dropped_ : 0);
-  for (const auto& [key, ring] : tracks_) {
-    (void)key;
-    for (const TraceEvent& event : ring.events) {
-      if (event.order >= cutoff) {
-        out.push_back(event);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.order < b.order;  // order is globally monotonic
-            });
-  return out;
-}
-
-void TraceRecorder::Clear() {
-  tracks_.clear();
-  cached_track_key_ = ~0ull;
-  cached_track_ = nullptr;
-  recorded_ = 0;
-  dropped_ = 0;
-  order_ = 0;
-  epoch_ = 0;
-  phase_counts_.fill(0);
-  for (Histogram& histogram : phase_latency_) {
-    histogram = Histogram();
-  }
-  phase_gauge_.fill(0.0);
-  phase_gauge_set_.fill(false);
-  metrics_.Reset();
 }
 
 }  // namespace nearpm

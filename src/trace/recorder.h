@@ -1,28 +1,44 @@
-// Low-overhead event recorder: one bounded ring buffer per resource track.
+// Low-overhead event recorder: one bounded ring holding the newest events in
+// record order.
 //
-// Recording is a single branch + struct copy into a preallocated ring; when
-// the ring fills, the oldest events on that track are overwritten (the drop
-// count is kept, so consumers know the window is partial). Instrumentation
-// sites go through the NEARPM_TRACE_* macros below, which compile to a
-// null-check when no recorder is attached -- the disabled cost is one
-// predictable branch, so performance runs are unaffected (checked by the
-// Figure 16/17 benchmarks).
+// Recording is a single branch + a stamped copy into a preallocated ring;
+// when the ring fills, the oldest event is overwritten (recorded() and
+// dropped() say how much history is gone). Because every event, whatever
+// track it belongs to, goes through the one ring, what the ring holds is
+// always a suffix of the record stream: a snapshot replays exactly like the
+// live stream did from its first retained event. Instrumentation sites go
+// through the NEARPM_TRACE_* macros below, which compile to a null-check
+// when no recorder is attached -- the disabled cost is one predictable
+// branch, so performance runs are unaffected (checked by the Figure 16/17
+// benchmarks).
 //
-// Per-phase metrics (feed_metrics) are accumulated into plain arrays indexed
-// by TracePhase -- no string lookup, no registry lock on the record path --
+// Per-phase metrics are accumulated into plain arrays indexed by
+// TracePhase -- no string lookup, no registry lock on the record path --
 // and folded into the MetricsRegistry lazily when metrics() is accessed.
 // Callers already read metrics() only once writers have quiesced (the
 // registry's own contract), so the deferred sync is invisible to them.
 //
-// The simulator is single-OS-threaded (application "threads" are virtual
-// clocks), so the recorder needs no synchronization.
+// Concurrency: one writer at a time (the simulator is single-OS-threaded
+// per recorder; the serving layer records under the node's lock, the
+// fabric under its own), any number of concurrent readers of the ring.
+// Each slot is published seqlock-style under its event's `order`: the
+// writer clears the slot's order word, release-stores the other words,
+// then release-stores the order, and recorded() publishes the newest
+// order. Newest() copies a slot only while its order word reads the
+// order it expects before and after the copy, so a reader running next to
+// the writer -- the SLO watchdog dumping mid-overload -- sees only whole
+// events and needs no lock. Everything else (epoch, active trace, metrics)
+// is the writer's alone.
 #ifndef SRC_TRACE_RECORDER_H_
 #define SRC_TRACE_RECORDER_H_
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <cstdlib>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/trace/metrics.h"
@@ -31,11 +47,10 @@
 namespace nearpm {
 
 struct TraceRecorderOptions {
-  // Events retained per (pid, tid) track before the ring wraps.
-  std::size_t ring_capacity = 1 << 16;
-  // Feed span durations into MetricsRegistry latency histograms keyed by
-  // phase name (and count every phase).
-  bool feed_metrics = true;
+  // Events retained, across every track, before the ring wraps. The ring
+  // is allocated once at this size, and its pages are touched only as
+  // events are written, so an idle or short-lived recorder stays small.
+  std::size_t ring_capacity = 1 << 18;
 };
 
 class TraceRecorder {
@@ -61,28 +76,28 @@ class TraceRecorder {
   void set_active_trace(std::uint64_t id) { active_trace_ = id; }
   std::uint64_t active_trace() const { return active_trace_; }
 
-  // Optional synchronous consumer of the stamped event stream (the obs
-  // layer's flight recorder). Null detaches.
-  void AttachSink(TraceSink* sink) { sink_ = sink; }
-  TraceSink* sink() const { return sink_; }
-
   // Starts a new epoch: virtual clocks restarted (a crash, or a fresh
   // Runtime attached to a shared recorder). Returns the new epoch id.
   std::uint32_t NextEpoch() { return ++epoch_; }
   std::uint32_t epoch() const { return epoch_; }
 
-  // Retained events, sorted by order -- i.e. real record order. When any
-  // track's ring has wrapped, the result is trimmed to the newest
-  // *globally consistent* suffix of the record stream: tracks wrap at
-  // different rates, and a merge of raw ring contents would keep effects
-  // (exec spans, persists) from un-wrapped tracks whose causes (retires)
-  // the busiest track has already overwritten -- the PPO checker would
-  // report phantom violations on such a stream.
-  std::vector<TraceEvent> Snapshot() const;
+  // The newest min(n, ring_capacity) events in record order, each one
+  // whole: a suffix of the record stream. Safe from any thread while the
+  // writer records; when the writer overwrites a slot mid-copy, the result
+  // keeps only the events after it.
+  std::vector<TraceEvent> Newest(std::size_t n) const;
+  // Everything the ring retains.
+  std::vector<TraceEvent> Snapshot() const { return Newest(capacity_); }
 
-  std::uint64_t recorded() const { return recorded_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::size_t track_count() const { return tracks_.size(); }
+  // Events recorded so far (the newest event's order) and how many of
+  // them the ring has overwritten. Safe from any thread.
+  std::uint64_t recorded() const {
+    return recorded_.load(std::memory_order_acquire);
+  }
+  std::uint64_t dropped() const {
+    const std::uint64_t n = recorded();
+    return n > capacity_ ? n - capacity_ : 0;
+  }
 
   // Phase metrics accumulated so far, folded into the registry on access
   // (store, not add -- syncing twice never double-counts). Like every other
@@ -96,38 +111,37 @@ class TraceRecorder {
     return metrics_;
   }
 
-  void Clear();
-
  private:
   static constexpr std::size_t kPhaseCount =
       static_cast<std::size_t>(TracePhase::kCount);
 
-  struct Ring {
-    std::vector<TraceEvent> events;  // capacity-bounded, wrap-around
-    std::size_t next = 0;            // write cursor once full
-    std::uint64_t dropped = 0;       // overwrites; >0 means events[next] is
-                                     // the oldest retained entry
+  struct FreeSlots {
+    void operator()(std::uint64_t* p) const { std::free(p); }
   };
 
-  static std::uint64_t TrackKey(std::uint32_t pid, std::uint32_t tid) {
-    return (static_cast<std::uint64_t>(pid) << 32) | tid;
+  // The kSlotWords words that hold the event of `order`.
+  std::uint64_t* Slot(std::uint64_t order) const {
+    return slots_.get() + (order % capacity_) * kSlotWords;
   }
-
+  // Copies the event of `order` out of its slot; false when the slot no
+  // longer (or not yet wholly) holds it.
+  bool LoadSlot(std::uint64_t order, TraceEvent* event) const;
   void SyncPhaseMetrics() const;
 
-  TraceRecorderOptions options_;
+  // A slot holds an event's fields packed into whole words (recorder.cc),
+  // then its order, which stamps the slot.
+  static constexpr std::size_t kSlotWords = 13;
+
+  std::size_t capacity_;
+  // Allocated once and never grown, copied or cleared: a reader only
+  // visits slots whose order is published, so the storage needs no
+  // zero-fill, and malloc leaves the pages of a ring this size untouched
+  // until events land in them.
+  std::unique_ptr<std::uint64_t[], FreeSlots> slots_;
+  std::atomic<std::uint64_t> recorded_{0};
   bool enabled_ = true;
   std::uint32_t epoch_ = 0;
-  std::uint64_t order_ = 0;
   std::uint64_t active_trace_ = 0;
-  TraceSink* sink_ = nullptr;
-  std::uint64_t recorded_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::unordered_map<std::uint64_t, Ring> tracks_;
-  // One-entry track cache: consecutive events land on the same (pid, tid)
-  // often enough that skipping the hash lookup pays.
-  std::uint64_t cached_track_key_ = ~0ull;
-  Ring* cached_track_ = nullptr;
   // Hot-path phase accumulators (single-threaded, plain loads/stores; the
   // Histogram's relaxed atomics cost nothing uncontended).
   std::array<std::uint64_t, kPhaseCount> phase_counts_{};
@@ -135,6 +149,15 @@ class TraceRecorder {
   std::array<double, kPhaseCount> phase_gauge_{};
   std::array<bool, kPhaseCount> phase_gauge_set_{};
   mutable MetricsRegistry metrics_;
+};
+
+// One labeled event stream -- a recorder's snapshot ("shard0", "fabric",
+// "node2", ...), a raw-trace file or one source of a flight dump. Events
+// within a source share an `order` sequence; across sources only simulated
+// time is comparable.
+struct TimelineSource {
+  std::string label;
+  std::vector<TraceEvent> events;
 };
 
 // Instrumentation entry points. `rec` is a TraceRecorder* (may be null);

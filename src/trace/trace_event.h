@@ -148,18 +148,6 @@ struct TraceEvent {
   bool is_span() const { return dur > 0; }
 };
 
-// Consumer of the live event stream, invoked synchronously from
-// TraceRecorder::Record after epoch/order/trace are filled. The one
-// in-tree implementation is the obs-layer FlightRecorder; the indirection
-// keeps src/trace below src/obs in the layering. Implementations attached
-// to recorders that are pumped from multiple OS threads (the serve layer's
-// per-shard recorders in threaded mode) must be internally thread-safe.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void Consume(const TraceEvent& event) = 0;
-};
-
 }  // namespace nearpm
 
 #endif  // SRC_TRACE_TRACE_EVENT_H_

@@ -1,10 +1,12 @@
-// Tests for src/obs: the flight recorder's wrap/trim behavior against the
-// per-track recorder rings, sliding-window merge and decay, SLO spec
+// Tests for src/obs: the flight recorder as a per-source view of the
+// recorder rings (newest events per source, a lossless dump, lock-free
+// reads next to a writer), sliding-window merge and decay, SLO spec
 // parsing, the watchdog's teeth in both directions (a breach must dump, a
-// clean run must not), and the end-to-end breach -> dump -> timeline replay
-// path through the serving layers.
+// clean run must not, a lost dump is counted), and the end-to-end breach ->
+// dump -> timeline replay path through the serving layers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <fstream>
 #include <future>
@@ -12,6 +14,9 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/obs/flight_recorder.h"
@@ -40,163 +45,199 @@ TraceEvent Event(std::uint32_t pid, SimTime ts, std::uint64_t trace = 0) {
 
 // ---- Flight recorder ------------------------------------------------------
 
-TEST(FlightRecorderTest, RingWrapKeepsNewestRecords) {
-  FlightRecorder flight(8);
-  TraceSink* sink = flight.RegisterSource("only");
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    sink->Consume(Event(1, i));
+// A recorder holding `count` events from Event(pid, ts = 0, 1, ...).
+std::unique_ptr<TraceRecorder> Filled(
+    std::uint32_t pid, std::uint64_t count,
+    std::size_t ring_capacity = TraceRecorderOptions{}.ring_capacity) {
+  TraceRecorderOptions options;
+  options.ring_capacity = ring_capacity;
+  auto recorder = std::make_unique<TraceRecorder>(options);
+  for (std::uint64_t ts = 0; ts < count; ++ts) {
+    recorder->Record(Event(pid, ts));
   }
-  EXPECT_EQ(flight.accepted(), 20u);
-  EXPECT_EQ(flight.dropped(), 12u);
+  return recorder;
+}
 
-  const std::vector<FlightRecord> records = flight.Snapshot();
-  ASSERT_EQ(records.size(), 8u);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(records[i].ticket, 12 + i) << "oldest surviving ticket is 12";
-    EXPECT_EQ(records[i].ts, 12 + i);
-    EXPECT_EQ(records[i].source, 0u);
+// WriteFlightDump's output for `flight`, read back through ReadFlightDump.
+FlightDump Reparse(const FlightRecorder& flight, const SloAlert* alert) {
+  std::ostringstream os;
+  WriteFlightDump(os, flight, alert);
+  std::istringstream is(os.str());
+  StatusOr<FlightDump> dump = ReadFlightDump(is);
+  EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+  return dump.ok() ? std::move(*dump) : FlightDump{};
+}
+
+TEST(FlightRecorderTest, RingWrapKeepsNewestRecords) {
+  const auto recorder = Filled(1, 20, /*ring_capacity=*/8);
+  FlightRecorder flight;
+  flight.AddSource("only", recorder.get());
+  EXPECT_EQ(flight.accepted(), 20u);
+
+  const std::vector<TimelineSource> sources = flight.Snapshot();
+  ASSERT_EQ(sources.size(), 1u);
+  EXPECT_EQ(sources[0].label, "only");
+  ASSERT_EQ(sources[0].events.size(), 8u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(sources[0].events[i].order, 13 + i) << "newest 8 of 20";
+    EXPECT_EQ(sources[0].events[i].ts, 12 + i);
   }
 }
 
-// The per-track rings trim Snapshot() to the newest globally consistent
-// suffix once any track wraps; the flight ring is budgeted globally, so it
-// retains exactly the newest N events regardless of which track they are
-// on. With a flight budget >= the event count, the black box must hold
-// events the trimmed recorder snapshot already gave up.
-TEST(FlightRecorderTest, RetainsEventsTheTrimmedSnapshotDropped) {
-  TraceRecorderOptions opts;
-  opts.ring_capacity = 4;
-  opts.feed_metrics = false;
-  TraceRecorder recorder(opts);
-  FlightRecorder flight(1024);
-  recorder.AttachSink(flight.RegisterSource("rec"));
-
-  // Track pid=1 wraps (12 events into 4 slots); track pid=2 does not.
-  recorder.Record(Event(2, 0));
-  for (SimTime ts = 1; ts <= 12; ++ts) {
-    recorder.Record(Event(1, ts));
+// Source `s` of `dump` holds exactly the orders first..last, in order.
+void ExpectOrders(const FlightDump& dump, std::size_t s, std::uint64_t first,
+                  std::uint64_t last) {
+  const std::vector<TraceEvent>& events = dump.sources[s].events;
+  ASSERT_EQ(events.size(), last - first + 1) << dump.sources[s].label;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].order, first + i) << dump.sources[s].label;
+    EXPECT_EQ(events[i].pid, s + 1);
   }
-  recorder.Record(Event(2, 13));
+}
 
-  const std::vector<TraceEvent> trimmed = recorder.Snapshot();
-  EXPECT_LT(trimmed.size(), recorder.recorded());
-  ASSERT_FALSE(trimmed.empty());
-  std::uint64_t trim_floor = trimmed.front().order;
-  for (const TraceEvent& event : trimmed) {
-    trim_floor = std::min(trim_floor, event.order);
-  }
+// Each source contributes its own newest events: the per-source budget
+// caps a busy recorder, a small ring caps itself, and a quiet source keeps
+// everything -- the busy one never crowds the others out.
+TEST(FlightRecorderTest, DumpHoldsEachSourcesNewestEvents) {
+  const std::uint64_t busy_count = FlightRecorder::kEventsPerSource + 904;
+  const auto busy = Filled(1, busy_count);
+  const auto small = Filled(2, 20, /*ring_capacity=*/8);
+  const auto quiet = Filled(3, 3);
+  FlightRecorder flight;
+  flight.AddSource("busy", busy.get());
+  flight.AddSource("small", small.get());
+  flight.AddSource("quiet", quiet.get());
+  EXPECT_EQ(flight.accepted(), busy_count + 20 + 3);
 
-  const std::vector<FlightRecord> black_box = flight.Snapshot();
-  EXPECT_EQ(black_box.size(), 14u) << "flight budget covers everything";
-  std::uint64_t flight_floor = black_box.front().order;
-  for (const FlightRecord& record : black_box) {
-    flight_floor = std::min(flight_floor, record.order);
-  }
-  EXPECT_LT(flight_floor, trim_floor)
-      << "the flight ring must still hold pre-trim history";
+  const FlightDump dump = Reparse(flight, nullptr);
+  ASSERT_EQ(dump.sources.size(), 3u);
+  ExpectOrders(dump, 0, 905, busy_count);  // the newest 4096
+  ExpectOrders(dump, 1, 13, 20);
+  ExpectOrders(dump, 2, 1, 3);
 }
 
 TEST(FlightRecorderTest, DumpCarriesSchemaSourcesAndRecords) {
-  FlightRecorder flight(16);
-  TraceSink* a = flight.RegisterSource("shard0");
-  TraceSink* b = flight.RegisterSource("fabric");
-  a->Consume(Event(1, 5, /*trace=*/7));
-  b->Consume(Event(5, 6, /*trace=*/7));
+  TraceRecorder shard;
+  TraceRecorder fabric;
+  shard.Record(Event(1, 5, /*trace=*/7));
+  fabric.Record(Event(5, 6, /*trace=*/7));
+  FlightRecorder flight;
+  flight.AddSource("shard0", &shard);
+  flight.AddSource("fabric", &fabric);
 
   std::ostringstream os;
   WriteFlightDump(os, flight, nullptr);
   const std::string dump = os.str();
 
-  EXPECT_NE(dump.find("\"schema\":\"nearpm-flight-v1\""), std::string::npos);
+  EXPECT_NE(dump.find("\"schema\":\"nearpm-flight-v2\""), std::string::npos);
   EXPECT_NE(dump.find("\"sources\":[\"shard0\",\"fabric\"]"),
             std::string::npos);
   EXPECT_EQ(dump.find("\"alert\""), std::string::npos);
-  // Header plus one line per record.
+  // Header plus one line per record, grouped by source.
   std::istringstream is(dump);
-  std::string line;
-  int lines = 0;
-  while (std::getline(is, line)) {
-    ++lines;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(is, line);) {
+    lines.push_back(line);
   }
-  EXPECT_EQ(lines, 3);
-  EXPECT_NE(dump.find("\"trace\":7"), std::string::npos);
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(lines[1].rfind("{\"source\":0,\"phase\":", 0), 0u) << lines[1];
+  EXPECT_EQ(lines[2].rfind("{\"source\":1,\"phase\":", 0), 0u) << lines[2];
+  EXPECT_NE(lines[2].find("\"trace\":7}"), std::string::npos);
 }
 
+// The dump is lossless: every field of every event, ranges and arg1
+// included, reads back as the recorder holds it.
 TEST(FlightRecorderTest, DumpRoundTripsThroughTheReader) {
-  FlightRecorder flight(16);
-  TraceSink* a = flight.RegisterSource("node0");
-  TraceSink* b = flight.RegisterSource("fabric");
-  TraceEvent span = Event(kTraceServePid, 5, /*trace=*/7);
-  span.phase = TracePhase::kNetXfer;
-  span.tid = 3;
-  span.seq = 11;
-  span.arg0 = 2;
-  span.epoch = 1;
-  a->Consume(Event(1, 4, /*trace=*/7));
-  b->Consume(span);
-  a->Consume(Event(1, 1ull << 40, /*trace=*/UINT64_MAX));
+  TraceRecorder node;
+  TraceRecorder fabric;
+  TraceEvent post = Event(TraceDevicePid(1), 4, /*trace=*/7);
+  post.phase = TracePhase::kCmdPost;
+  post.seq = 3;
+  post.range = {64, 128};
+  post.range2 = {4096, 4160};
+  post.arg0 = 5;
+  post.arg1 = 9;
+  TraceEvent xfer = Event(kTraceNetPid, 5, /*trace=*/7);
+  xfer.phase = TracePhase::kNetXfer;
+  xfer.tid = 3;
+  xfer.seq = 11;
+  xfer.arg0 = 2;
+  xfer.arg1 = 1ull << 40;
+  node.Record(post);
+  node.NextEpoch();
+  node.Record(Event(1, 1ull << 40, /*trace=*/UINT64_MAX));
+  fabric.Record(xfer);
+  FlightRecorder flight;
+  flight.AddSource("node0", &node);
+  flight.AddSource("fabric", &fabric);
 
   SloAlert alert;
   alert.id = 3;
   alert.rule = SloRule::kP99Latency;
-  std::ostringstream os;
-  WriteFlightDump(os, flight, &alert);
-  std::istringstream is(os.str());
-  const StatusOr<FlightDump> dump = ReadFlightDump(is);
-  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
-
-  EXPECT_EQ(dump->sources, flight.source_labels());
-  EXPECT_EQ(dump->alert_json, SloAlertJson(alert));
-  const std::vector<FlightRecord> written = flight.Snapshot();
-  ASSERT_EQ(dump->records.size(), written.size());
-  for (std::size_t i = 0; i < written.size(); ++i) {
-    const FlightRecord& got = dump->records[i];
-    const FlightRecord& want = written[i];
-    EXPECT_EQ(got.ticket, want.ticket);
-    EXPECT_EQ(got.source, want.source);
-    EXPECT_EQ(got.phase, want.phase);
-    EXPECT_EQ(got.pid, want.pid);
-    EXPECT_EQ(got.tid, want.tid);
-    EXPECT_EQ(got.ts, want.ts);
-    EXPECT_EQ(got.dur, want.dur);
-    EXPECT_EQ(got.seq, want.seq);
-    EXPECT_EQ(got.arg0, want.arg0);
-    EXPECT_EQ(got.epoch, want.epoch);
-    EXPECT_EQ(got.order, want.order);
-    EXPECT_EQ(got.trace, want.trace);
+  const FlightDump dump = Reparse(flight, &alert);
+  EXPECT_EQ(dump.alert_json, SloAlertJson(alert));
+  const std::vector<TimelineSource> written = flight.Snapshot();
+  ASSERT_EQ(dump.sources.size(), written.size());
+  for (std::size_t s = 0; s < written.size(); ++s) {
+    EXPECT_EQ(dump.sources[s].label, written[s].label);
+    ASSERT_EQ(dump.sources[s].events.size(), written[s].events.size());
+    for (std::size_t i = 0; i < written[s].events.size(); ++i) {
+      const TraceEvent& got = dump.sources[s].events[i];
+      const TraceEvent& want = written[s].events[i];
+      EXPECT_EQ(got.phase, want.phase);
+      EXPECT_EQ(got.pid, want.pid);
+      EXPECT_EQ(got.tid, want.tid);
+      EXPECT_EQ(got.ts, want.ts);
+      EXPECT_EQ(got.dur, want.dur);
+      EXPECT_EQ(got.seq, want.seq);
+      EXPECT_EQ(got.range, want.range);
+      EXPECT_EQ(got.range2, want.range2);
+      EXPECT_EQ(got.arg0, want.arg0);
+      EXPECT_EQ(got.arg1, want.arg1);
+      EXPECT_EQ(got.epoch, want.epoch);
+      EXPECT_EQ(got.order, want.order);
+      EXPECT_EQ(got.trace, want.trace);
+    }
   }
+  EXPECT_EQ(dump.sources[0].events[0].range2, (AddrRange{4096, 4160}));
+  EXPECT_EQ(dump.sources[0].events[1].epoch, 1u);
+  EXPECT_EQ(dump.sources[1].events[0].arg1, 1ull << 40);
 }
 
 TEST(FlightRecorderTest, ReaderRejectsMalformedDumps) {
   const std::string header =
-      "{\"schema\":\"nearpm-flight-v1\",\"capacity\":16,\"accepted\":1,"
-      "\"dropped\":0,\"sources\":[\"node0\"]}\n";
+      "{\"schema\":\"nearpm-flight-v2\",\"capacity\":4096,\"accepted\":1,"
+      "\"sources\":[\"node0\"]}\n";
   const std::string record =
-      "{\"ticket\":0,\"source\":0,\"phase\":\"serve_request\",\"pid\":4,"
-      "\"tid\":0,\"ts\":5,\"dur\":10,\"seq\":0,\"arg0\":0,\"epoch\":0,"
-      "\"order\":0,\"trace\":7}";
+      "{\"source\":0,\"phase\":\"serve_request\",\"pid\":4,\"tid\":0,"
+      "\"ts\":5,\"dur\":10,\"seq\":0,\"range\":[0,0],\"range2\":[0,0],"
+      "\"arg0\":0,\"arg1\":0,\"epoch\":0,\"order\":1,\"trace\":7}";
   {
     std::istringstream is(header + record + "\n");
     ASSERT_TRUE(ReadFlightDump(is).ok()) << "the base case must load";
   }
-  const auto replace = [&record](const std::string& from,
-                                 const std::string& to) {
-    std::string bad = record;
-    bad.replace(bad.find(from), from.size(), to);
-    return bad;
+  const auto replace = [](std::string text, const std::string& from,
+                          const std::string& to) {
+    text.replace(text.find(from), from.size(), to);
+    return text;
   };
-  // Trailing bytes, a negative ts, a pid past 32 bits, an unlisted source, a
-  // missing key, an unknown key, an unknown phase, trailing bytes after the
-  // header, another schema, and no header at all.
+  // Trailing bytes, a negative ts, a pid past 32 bits, an unlisted source,
+  // a record without a source (a bare raw-trace line), a missing key, an
+  // unknown key, an unknown phase, a short range, trailing bytes after the
+  // header, a v1 header (its records dropped ranges and arg1), another
+  // schema, and no header at all.
   const std::vector<std::string> bad_dumps = {
       header + record + "x\n",
-      header + replace("\"ts\":5", "\"ts\":-5") + "\n",
-      header + replace("\"pid\":4", "\"pid\":4294967299") + "\n",
-      header + replace("\"source\":0", "\"source\":1") + "\n",
-      header + replace(",\"trace\":7", "") + "\n",
-      header + replace("\"trace\":7", "\"trace\":7,\"x\":1") + "\n",
-      header + replace("serve_request", "nonsense") + "\n",
+      header + replace(record, "\"ts\":5", "\"ts\":-5") + "\n",
+      header + replace(record, "\"pid\":4", "\"pid\":4294967299") + "\n",
+      header + replace(record, "\"source\":0", "\"source\":1") + "\n",
+      header + replace(record, "\"source\":0,", "") + "\n",
+      header + replace(record, ",\"order\":1", "") + "\n",
+      header + replace(record, "\"trace\":7", "\"trace\":7,\"x\":1") + "\n",
+      header + replace(record, "serve_request", "nonsense") + "\n",
+      header + replace(record, "\"range\":[0,0]", "\"range\":[0]") + "\n",
       header.substr(0, header.size() - 1) + " x\n" + record,
+      replace(header, "v2", "v1") + record + "\n",
       "{\"schema\":\"other\"}\n",
       "",
   };
@@ -204,6 +245,79 @@ TEST(FlightRecorderTest, ReaderRejectsMalformedDumps) {
     std::istringstream is(text);
     EXPECT_FALSE(ReadFlightDump(is).ok()) << "accepted:\n" << text;
   }
+  // A dump of the old schema is named as such.
+  std::istringstream v1(replace(header, "v2", "v1") + record + "\n");
+  const Status st = ReadFlightDump(v1).status();
+  EXPECT_NE(st.message().find("\"nearpm-flight-v1\", want"),
+            std::string::npos)
+      << st.message();
+}
+
+// Every field of an event, for whole-event comparison.
+auto Fields(const TraceEvent& e) {
+  return std::tie(e.phase, e.pid, e.tid, e.ts, e.dur, e.seq, e.range, e.range2,
+                  e.arg0, e.arg1, e.epoch, e.order, e.trace);
+}
+
+// One writer records into a small ring while another thread keeps reading
+// the whole ring without any lock, so the writer laps slots mid-read. Every
+// read must be a run of consecutive orders, and every event whole: each
+// field is a function of its order, so a torn copy shows as a mismatch.
+TEST(FlightRecorderTest, ConcurrentReadsSeeWholeEventsInOrder) {
+  constexpr std::uint64_t kEvents = 1 << 20;
+  constexpr std::size_t kRead = 256;
+  const auto make = [](std::uint64_t order) {
+    TraceEvent e;
+    e.order = order;
+    e.phase = static_cast<TracePhase>(order % 7);
+    e.pid = static_cast<std::uint32_t>(order * 3);
+    e.tid = static_cast<std::uint32_t>(order >> 3);
+    e.ts = order * 5;
+    e.dur = order + 1;
+    e.seq = order ^ 0x5555;
+    e.range = {order, order + 64};
+    e.range2 = {order * 2, order * 2 + 8};
+    e.arg0 = ~order;
+    e.arg1 = order * 7;
+    e.trace = order + 11;
+    return e;
+  };
+
+  TraceRecorderOptions options;
+  options.ring_capacity = kRead;
+  TraceRecorder recorder(options);
+  FlightRecorder flight;
+  flight.AddSource("writer", &recorder);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t order = 1; order <= kEvents; ++order) {
+      recorder.Record(make(order));
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::uint64_t reads = 0;
+  std::uint64_t nonempty = 0;
+  std::uint64_t bad = 0;
+  while (!done.load(std::memory_order_acquire) || reads == 0) {
+    const std::vector<TimelineSource> sources = flight.Snapshot(kRead);
+    const std::vector<TraceEvent>& events = sources[0].events;
+    ++reads;
+    nonempty += events.empty() ? 0 : 1;
+    bad += events.size() > kRead ? 1 : 0;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const TraceEvent want = make(events[i].order);
+      const bool whole = Fields(events[i]) == Fields(want);
+      const bool next = i == 0 || events[i].order == events[i - 1].order + 1;
+      bad += whole && next ? 0 : 1;
+    }
+  }
+  writer.join();
+  EXPECT_EQ(bad, 0u) << "over " << reads << " reads";
+  EXPECT_GT(nonempty, 0u);
+  const std::vector<TraceEvent> last = recorder.Newest(kRead);
+  ASSERT_EQ(last.size(), kRead);
+  EXPECT_EQ(last.back().order, kEvents);
 }
 
 // ---- Sliding window -------------------------------------------------------
@@ -302,8 +416,10 @@ TEST(SloWatchdogTest, BreachFiresDumpsAndCoolsDown) {
       ::testing::TempDir() + "/nearpm_obs_breach.jsonl";
   std::remove(dump_path.c_str());
 
-  FlightRecorder flight(64);
-  flight.RegisterSource("shard0")->Consume(Event(1, 50, /*trace=*/3));
+  TraceRecorder shard;
+  shard.Record(Event(1, 50, /*trace=*/3));
+  FlightRecorder flight;
+  flight.AddSource("shard0", &shard);
 
   WindowOptions wo;
   wo.window_ns = 1'000'000;
@@ -337,7 +453,7 @@ TEST(SloWatchdogTest, BreachFiresDumpsAndCoolsDown) {
   ASSERT_TRUE(in.good()) << "breach must write " << dump_path;
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
-  EXPECT_NE(header.find("\"schema\":\"nearpm-flight-v1\""),
+  EXPECT_NE(header.find("\"schema\":\"nearpm-flight-v2\""),
             std::string::npos);
   EXPECT_NE(header.find("\"alert\":{"), std::string::npos);
   EXPECT_NE(header.find("\"rule\":\"p99_latency\""), std::string::npos);
@@ -346,7 +462,35 @@ TEST(SloWatchdogTest, BreachFiresDumpsAndCoolsDown) {
   // the breach persists.
   EXPECT_FALSE(watchdog.MaybeCheck(200'000, {&window}, 0, 64, nullptr));
   EXPECT_EQ(watchdog.alert_count(), 1u);
+  EXPECT_EQ(watchdog.dump_failures(), 0u);
   std::remove(dump_path.c_str());
+}
+
+// A breach whose dump cannot be written still fires its alert, and the
+// lost dump is counted rather than skipped.
+TEST(SloWatchdogTest, UnwritableDumpIsCounted) {
+  TraceRecorder shard;
+  shard.Record(Event(1, 50, /*trace=*/3));
+  FlightRecorder flight;
+  flight.AddSource("shard0", &shard);
+  WindowOptions wo;
+  wo.window_ns = 1'000'000;
+  SlidingWindow window(wo);
+  for (int i = 0; i < 64; ++i) {
+    window.RecordLatency(1000 + i, 50'000, /*error=*/false);
+  }
+
+  WatchdogOptions opts;
+  opts.spec.p99_ns = 100;
+  opts.spec.min_requests = 8;
+  opts.spec.window_ns = 1e6;
+  opts.flight = &flight;
+  opts.dump_path = ::testing::TempDir() + "/nearpm_obs_missing_dir/d.jsonl";
+  SloWatchdog watchdog(opts);
+
+  EXPECT_TRUE(watchdog.MaybeCheck(2000, {&window}, 0, 64, nullptr));
+  EXPECT_EQ(watchdog.alert_count(), 1u);
+  EXPECT_EQ(watchdog.dump_failures(), 1u);
 }
 
 TEST(SloWatchdogTest, CleanRunNeverCreatesTheDump) {
@@ -354,7 +498,7 @@ TEST(SloWatchdogTest, CleanRunNeverCreatesTheDump) {
       ::testing::TempDir() + "/nearpm_obs_clean.jsonl";
   std::remove(dump_path.c_str());
 
-  FlightRecorder flight(64);
+  FlightRecorder flight;
   WindowOptions wo;
   wo.window_ns = 1'000'000;
   SlidingWindow window(wo);
@@ -487,22 +631,38 @@ void CheckTightSloDumpsABreach(Tier tier, double window_ns) {
   ASSERT_TRUE(in.good());
   std::string header;
   ASSERT_TRUE(std::getline(in, header));
-  EXPECT_NE(header.find("\"schema\":\"nearpm-flight-v1\""),
+  EXPECT_NE(header.find("\"schema\":\"nearpm-flight-v2\""),
             std::string::npos);
   const char* sources_json = R"("sources":["shard0","shard1"])";
   if (tier == Tier::kReplicated) {
     sources_json = R"("sources":["node0","node1","node2","node3","fabric"])";
   }
   EXPECT_NE(header.find(sources_json), std::string::npos) << header;
+  in.seekg(0);
+  const StatusOr<FlightDump> dump = ReadFlightDump(in);
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
 
-  // The breach's slow ids resolve against the quiesced node traces.
-  std::vector<TimelineSource> sources = svc->TimelineSources();
+  // The breach's slow ids resolve against the quiesced node traces, and
+  // the dump alone rebuilds the last alert's slowest request exactly as
+  // the whole rings do: same hops, same device slices, every one tiling.
+  const std::vector<TimelineSource> sources = svc->TimelineSources();
   const std::vector<std::uint64_t> ids = ListTraceIds(sources);
   EXPECT_EQ(ids.size(), issued.size());
-  const RequestTimeline timeline =
-      BuildRequestTimeline(sources, alerts[0].window.slowest[0].trace);
+  const std::uint64_t slowest = alerts.back().window.slowest[0].trace;
+  const RequestTimeline timeline = BuildRequestTimeline(sources, slowest);
+  const RequestTimeline from_dump =
+      BuildRequestTimeline(dump->sources, slowest);
   ASSERT_FALSE(timeline.empty());
+  EXPECT_FALSE(timeline.slices.empty()) << "a put issues device commands";
   EXPECT_TRUE(timeline.AttributionHolds());
+  EXPECT_TRUE(from_dump.AttributionHolds());
+  EXPECT_EQ(from_dump.hops.size(), timeline.hops.size());
+  EXPECT_EQ(from_dump.slices.size(), timeline.slices.size());
+  std::ostringstream want;
+  std::ostringstream got;
+  RenderRequestTimeline(timeline, want);
+  RenderRequestTimeline(from_dump, got);
+  EXPECT_EQ(got.str(), want.str());
   std::remove(dump_path.c_str());
 }
 
@@ -539,8 +699,8 @@ void CheckCleanSloStaysQuiet(Tier tier) {
 
   // The always-on black box is dumpable without any breach.
   std::ostringstream os;
-  ASSERT_TRUE(svc->DumpFlightRecord(os));
-  EXPECT_NE(os.str().find("\"schema\":\"nearpm-flight-v1\""),
+  WriteFlightDump(os, *svc->flight(), nullptr);
+  EXPECT_NE(os.str().find("\"schema\":\"nearpm-flight-v2\""),
             std::string::npos);
 }
 
@@ -550,6 +710,33 @@ TEST(KvServiceObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
 
 TEST(KvServiceObsTest, WindowSnapshotSeesTheRunAndCleanSloStaysQuiet) {
   CheckCleanSloStaysQuiet(Tier::kSingleCopy);
+}
+
+// A breach dump the service cannot write is published as a counter (the
+// load driver fails the run on it).
+TEST(KvServiceObsTest, UnwritableBreachDumpIsPublished) {
+  SloSpec slo;
+  slo.p99_ns = 1;
+  slo.window_ns = 8000;
+  slo.min_requests = 8;
+  const auto svc = MakeObsService(
+      Tier::kSingleCopy, slo,
+      ::testing::TempDir() + "/nearpm_obs_missing_dir/breach.jsonl");
+  ASSERT_NE(svc, nullptr);
+  for (std::uint64_t key = 0; key < 64; ++key) {
+    serve::ServeRequest req;
+    req.kind = serve::RequestKind::kPut;
+    req.key = key;
+    req.value.assign(16, static_cast<std::uint8_t>(key));
+    ASSERT_TRUE(svc->Submit(std::move(req)).ok());
+  }
+  svc->Pump();
+
+  const std::uint64_t alerts = svc->watchdog()->alert_count();
+  EXPECT_GE(alerts, 1u);
+  EXPECT_EQ(svc->watchdog()->dump_failures(), alerts);
+  svc->PublishMetrics();
+  EXPECT_EQ(svc->metrics().counters().at("serve_slo_dump_failures"), alerts);
 }
 
 TEST(ReplObsTest, TightSloUnderPumpDumpsABreachNamingSlowRequests) {
@@ -618,7 +805,6 @@ TEST(ReplObsTest, CrossReplicaTimelineSpansNodesAndFabric) {
   EXPECT_TRUE(replica_hop) << "replica-side replay must carry the id";
 
   // The flight recorder covered the same run cluster-wide.
-  ASSERT_NE((*svc)->flight(), nullptr);
   EXPECT_GT((*svc)->flight()->accepted(), 0u);
   const std::vector<std::string>& labels =
       (*svc)->flight()->source_labels();

@@ -144,11 +144,11 @@ TEST(PpoCheckerSynthetic, Invariant2RetireIsPerDevice) {
 }
 
 TEST(PpoCheckerSynthetic, WrappedRingsDoNotFabricateViolations) {
-  // A span and its retire land on different recorder tracks (unit vs
-  // dispatcher tid). Once dispatcher-track chatter wraps its ring past the
-  // retire while the span's quiet track keeps the span, a raw merge would
-  // read as an unordered persist; Snapshot must trim both to the newest
-  // consistent suffix instead, so long runs never fabricate violations.
+  // A span, its retire and a persist over the span's range, then enough
+  // later chatter to wrap the ring past the retire. A stream that kept the
+  // span but lost its retire would read as an unordered persist; the ring
+  // only ever drops its oldest events, so the snapshot is a suffix of the
+  // record stream and long runs never fabricate violations.
   TraceRecorderOptions options;
   options.ring_capacity = 2;
   TraceRecorder recorder(options);

@@ -15,9 +15,10 @@
 #include "src/common/rng.h"
 #include "src/core/runtime.h"
 #include "src/prof/profile.h"
-#include "src/prof/raw_trace.h"
 #include "src/prof/report.h"
+#include "src/prof/request_timeline.h"
 #include "src/serve/service.h"
+#include "src/trace/raw_trace.h"
 #include "src/trace/recorder.h"
 #include "src/workloads/workload.h"
 
@@ -65,7 +66,7 @@ TEST(ProfileTest, AttributionInvariantHoldsOnEveryWorkload) {
       const auto events = TraceWorkload(name, mode, &recorder, /*ops=*/60);
       const Profile profile = BuildProfile(events);
       EXPECT_GT(profile.slices.size(), 0u) << name;
-      EXPECT_EQ(profile.attribution_violations, 0u)
+      EXPECT_TRUE(profile.attribution_violations.empty())
           << name << " mode " << ExecModeName(mode);
       EXPECT_EQ(profile.incomplete_slices, 0u) << name;
       for (const RequestSlice& slice : profile.slices) {
@@ -128,7 +129,51 @@ TEST(ProfileTest, DetectsIncompleteSlices) {
   const Profile profile = BuildProfile(events);
   EXPECT_EQ(profile.slices.size(), 0u);
   EXPECT_GT(profile.incomplete_slices, 0u);
-  EXPECT_EQ(profile.attribution_violations, 0u);
+  EXPECT_TRUE(profile.attribution_violations.empty());
+}
+
+// ---- Per-request attribution ------------------------------------------------
+
+// A device command whose windows do not tile -- here a command post that
+// lost its nominal release (arg1), as a lossy copy of the trace would --
+// fails its request's attribution check instead of silently vanishing from
+// the request's slices. A lifecycle cut off at the start of a stream stays
+// incomplete.
+TEST(RequestTimelineTest, BrokenSliceFailsTheRequestsAttribution) {
+  TraceRecorder recorder;
+  std::vector<TraceEvent> events =
+      TraceWorkload("btree", ExecMode::kNdpMultiDelayed, &recorder, /*ops=*/30);
+  for (TraceEvent& e : events) {
+    e.trace = 5;  // one request owns the whole stream
+  }
+  const auto is_post = [](const TraceEvent& e) {
+    return e.phase == TracePhase::kCmdPost && e.ts > 0;
+  };
+  const auto post = std::find_if(events.begin(), events.end(), is_post);
+  ASSERT_NE(post, events.end());
+  const std::uint64_t seq = post->seq;
+
+  const RequestTimeline intact = BuildRequestTimeline({{"node0", events}}, 5);
+  EXPECT_TRUE(intact.AttributionHolds());
+  EXPECT_FALSE(intact.slices.empty());
+
+  post->arg1 = 0;
+  const RequestTimeline broken = BuildRequestTimeline({{"node0", events}}, 5);
+  EXPECT_FALSE(broken.AttributionHolds());
+  ASSERT_EQ(broken.attribution_violations.size(), 1u);
+  EXPECT_EQ(broken.attribution_violations[0].seq, seq);
+  EXPECT_EQ(broken.attribution_violations[0].trace, 5u);
+  EXPECT_EQ(broken.slices.size(), intact.slices.size() - 1);
+  std::ostringstream os;
+  RenderRequestTimeline(broken, os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("invariant: VIOLATED by 1 device slices"),
+            std::string::npos)
+      << text;
+
+  const std::vector<TraceEvent> cut(post + 1, events.end());
+  EXPECT_TRUE(BuildRequestTimeline({{"node0", cut}}, 5).AttributionHolds());
+  EXPECT_GT(BuildProfile(cut).incomplete_slices, 0u);
 }
 
 // ---- Utilization and occupancy ----------------------------------------------

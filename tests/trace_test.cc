@@ -4,6 +4,7 @@
 // a real simulated run (the same WriteChromeTrace path --trace-out uses), so
 // a regression in the emitted JSON fails here rather than in Perfetto.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <fstream>
@@ -69,25 +70,34 @@ TEST(TraceRecorderTest, AssignsMonotonicOrderAndEpochs) {
   EXPECT_EQ(events[3].epoch, 1u);
   EXPECT_EQ(recorder.recorded(), 4u);
   EXPECT_EQ(recorder.dropped(), 0u);
-  EXPECT_EQ(recorder.track_count(), 3u);
 }
 
-TEST(TraceRecorderTest, RingOverwritesOldestPerTrack) {
+TEST(TraceRecorderTest, RingOverwritesOldestAcrossTracks) {
   TraceRecorderOptions options;
   options.ring_capacity = 4;
   TraceRecorder recorder(options);
+  // Ten events round-robin over three tracks share the one ring.
   for (int i = 0; i < 10; ++i) {
-    recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, i));
+    recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid,
+                            static_cast<std::uint32_t>(i % 3), i));
   }
   EXPECT_EQ(recorder.recorded(), 10u);
   EXPECT_EQ(recorder.dropped(), 6u);
 
+  // The ring keeps the newest window whatever the track: orders 7..10,
+  // each event whole.
   const std::vector<TraceEvent> events = recorder.Snapshot();
   ASSERT_EQ(events.size(), 4u);
-  // The ring keeps the newest window: orders 7..10.
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].order, 7 + i);
+    EXPECT_EQ(events[i].ts, 6 + i);
+    EXPECT_EQ(events[i].tid, (6 + i) % 3);
   }
+  // A shorter read is the newest part of the same suffix.
+  const std::vector<TraceEvent> newest = recorder.Newest(2);
+  ASSERT_EQ(newest.size(), 2u);
+  EXPECT_EQ(newest[0].order, 9u);
+  EXPECT_EQ(newest[1].order, 10u);
 }
 
 TEST(TraceRecorderTest, SnapshotTrimsToConsistentSuffixAcrossTracks) {
@@ -95,21 +105,44 @@ TEST(TraceRecorderTest, SnapshotTrimsToConsistentSuffixAcrossTracks) {
   options.ring_capacity = 4;
   TraceRecorder recorder(options);
   // A calm track records before (order 1) and after (order 12) a busy track
-  // wraps its ring (10 events, orders 2..11; the ring keeps 8..11).
+  // records 10 events (orders 2..11).
   recorder.Record(Instant(TracePhase::kRetire, TraceDevicePid(0), 0, 5));
   for (int i = 0; i < 10; ++i) {
     recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, 10 + i));
   }
   recorder.Record(Instant(TracePhase::kRetire, TraceDevicePid(0), 0, 50));
 
-  // The calm track's order-1 event predates the busy ring's oldest retained
-  // entry: emitting it would present a stream with a hole in the middle.
-  // The snapshot is the newest consistent suffix, orders 8..12.
+  // The snapshot is the newest ring_capacity events of the whole stream,
+  // orders 9..12: the calm track's order-1 event is gone with the busy
+  // track's older ones, so the stream has no hole in the middle.
   const std::vector<TraceEvent> events = recorder.Snapshot();
-  ASSERT_EQ(events.size(), 5u);
+  ASSERT_EQ(events.size(), 4u);
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].order, 8 + i);
+    EXPECT_EQ(events[i].order, 9 + i);
   }
+  EXPECT_EQ(events.back().phase, TracePhase::kRetire);
+}
+
+// The ring is allocated at full capacity once, but only the pages events
+// land in are touched: a fresh recorder costs what it records, so fuzz
+// sweeps and tests can build many of them.
+TEST(TraceRecorderTest, ResidentMemoryFollowsTheEventsWritten) {
+  // The second field of /proc/self/statm, in pages.
+  const auto resident_bytes = [] {
+    std::ifstream statm("/proc/self/statm");
+    std::int64_t total_pages = 0;
+    std::int64_t resident_pages = 0;
+    statm >> total_pages >> resident_pages;
+    return resident_pages * sysconf(_SC_PAGESIZE);
+  };
+  const std::int64_t before = resident_bytes();
+  ASSERT_GT(before, 0) << "could not read /proc/self/statm";
+  TraceRecorder recorder;  // 1 << 18 slots
+  for (int i = 0; i < 16; ++i) {
+    recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, i));
+  }
+  EXPECT_LT(resident_bytes() - before, 1 << 20);
+  EXPECT_EQ(recorder.Snapshot().size(), 16u);
 }
 
 TEST(TraceRecorderTest, MacrosAreSafeWhenDetachedOrDisabled) {
@@ -145,17 +178,6 @@ TEST(TraceRecorderTest, FeedsMetricsPerPhase) {
             metrics.histograms().end());
   EXPECT_EQ(metrics.histograms().at("unit_exec").count(), 1u);
   EXPECT_EQ(metrics.histograms().count("cpu_fence"), 0u);
-}
-
-TEST(TraceRecorderTest, ClearResetsEverything) {
-  TraceRecorder recorder;
-  recorder.Record(Instant(TracePhase::kCpuWrite, kTraceHostPid, 0, 1));
-  recorder.NextEpoch();
-  recorder.Clear();
-  EXPECT_EQ(recorder.recorded(), 0u);
-  EXPECT_EQ(recorder.epoch(), 0u);
-  EXPECT_TRUE(recorder.Snapshot().empty());
-  EXPECT_TRUE(recorder.metrics().empty());
 }
 
 // ---- Metrics registry -------------------------------------------------------

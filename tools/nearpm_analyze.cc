@@ -43,7 +43,7 @@
 #include "src/core/runtime.h"
 #include "src/common/files.h"
 #include "src/fuzz/repro.h"
-#include "src/prof/raw_trace.h"
+#include "src/trace/raw_trace.h"
 #include "src/workloads/workload.h"
 #include "tools/flags.h"
 

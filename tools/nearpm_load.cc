@@ -30,8 +30,8 @@
 // Exit code is nonzero when a loop loses a request (every request must
 // complete; the open loop alone may drop some at a full ring), any node's
 // trace fails the PPO audit, a replicated run sends nothing over the
-// fabric, or an output file cannot be written -- load must never outrun
-// correctness.
+// fabric, a breach dump or an output file cannot be written -- load must
+// never outrun correctness.
 //
 //   --mode=closed|open|burst|both   load model; both = closed, then open
 //                             (default both)
@@ -63,7 +63,6 @@
 //                             see src/obs/slo.h; configs/slo-default.json)
 //   --flight-dump=FILE        where a breach dumps the flight record; the
 //                             file is only created when an alert fires
-//   --flight-capacity=N       flight-recorder ring slots (0 disables)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -117,7 +116,6 @@ struct CliOptions {
   std::string metrics_out;
   std::optional<obs::SloSpec> slo;
   std::string flight_dump;
-  std::size_t flight_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 // Exact zipfian(theta) sampler over [0, n): cumulative inverse-CDF table +
@@ -220,6 +218,7 @@ struct LoopResult {
   bool slo_armed = false;
   std::uint64_t slo_checks = 0;
   std::uint64_t slo_alerts = 0;
+  std::uint64_t slo_dump_failures = 0;
   std::vector<obs::SlowRequest> slo_slowest;  // from the last alert
 };
 
@@ -229,7 +228,6 @@ StatusOr<std::unique_ptr<FrontEnd>> MakeService(const CliOptions& cli) {
   fo.queue_capacity = cli.queue;
   fo.batch_max = cli.batch;
   fo.table_slots = cli.table_slots;
-  fo.flight_capacity = cli.flight_capacity;
   fo.slo = cli.slo;
   fo.slo_dump_path = cli.flight_dump;
   if (cli.replicas > 1) {
@@ -469,6 +467,7 @@ LoopResult RunLoop(const CliOptions& cli, Mode mode, MetricsRegistry* metrics) {
     result.slo_armed = true;
     result.slo_checks = wd->checks();
     result.slo_alerts = wd->alert_count();
+    result.slo_dump_failures = wd->dump_failures();
     const std::vector<obs::SloAlert> alerts = wd->alerts();
     if (!alerts.empty()) {
       result.slo_slowest = alerts.back().window.slowest;
@@ -543,10 +542,9 @@ bool Healthy(const LoopResult& r, const CliOptions& cli) {
                  r.name.c_str());
     healthy = false;
   }
-  if (r.slo_alerts > 0 && !cli.flight_dump.empty() &&
-      cli.flight_capacity > 0 && !std::ifstream(cli.flight_dump).good()) {
-    std::fprintf(stderr, "%s: breach dump %s was not written\n",
-                 r.name.c_str(), cli.flight_dump.c_str());
+  if (r.slo_dump_failures > 0) {
+    std::fprintf(stderr, "%s: %" PRIu64 " breach dump(s) to %s not written\n",
+                 r.name.c_str(), r.slo_dump_failures, cli.flight_dump.c_str());
     healthy = false;
   }
   return healthy;
@@ -614,7 +612,7 @@ int Usage(const char* argv0) {
       "          [--keys=N] [--table-slots=N] [--zipf=T] [--get-every=N]\n"
       "          [--multiput-every=N] [--qps=N] [--seed=N]\n"
       "          [--json-out=FILE] [--hist-out=FILE] [--metrics-out=FILE]\n"
-      "          [--slo=FILE] [--flight-dump=FILE] [--flight-capacity=N]\n",
+      "          [--slo=FILE] [--flight-dump=FILE]\n",
       argv0);
   return 2;
 }
@@ -696,9 +694,6 @@ int Run(int argc, char** argv) {
       cli.slo = *spec;
     } else if (MatchFlag(argv[i], "--flight-dump", &value)) {
       cli.flight_dump = value;
-    } else if (MatchFlag(argv[i], "--flight-capacity", &value)) {
-      if (!ParseUint(value, &n)) return Usage(argv[0]);
-      cli.flight_capacity = static_cast<std::size_t>(n);
     } else {
       return Usage(argv[0]);
     }

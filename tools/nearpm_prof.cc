@@ -34,9 +34,9 @@
 #include "src/core/runtime.h"
 #include "src/pmlib/provider.h"
 #include "src/prof/profile.h"
-#include "src/prof/raw_trace.h"
 #include "src/prof/report.h"
 #include "src/trace/chrome_exporter.h"
+#include "src/trace/raw_trace.h"
 #include "src/workloads/workload.h"
 #include "tools/flags.h"
 
@@ -274,12 +274,11 @@ int ProfMain(int argc, char** argv) {
     }
   }
 
-  if (profile.attribution_violations > 0) {
+  if (!profile.attribution_violations.empty()) {
     std::fprintf(stderr,
-                 "FAIL: %llu request slice(s) violate the attribution "
+                 "FAIL: %zu request slice(s) violate the attribution "
                  "invariant (phase sum != end-to-end span)\n",
-                 static_cast<unsigned long long>(
-                     profile.attribution_violations));
+                 profile.attribution_violations.size());
     return 1;
   }
   return 0;

@@ -203,13 +203,13 @@ bool RunCellWorkload(const CliOptions& cli, const std::string& name,
   // even under the pipelined geometry. A violation is a model bug, not a
   // data point.
   const Profile profile = BuildProfile(recorder.Snapshot());
-  if (profile.attribution_violations > 0 || profile.incomplete_slices > 0) {
+  if (!profile.attribution_violations.empty() ||
+      profile.incomplete_slices > 0) {
     std::fprintf(stderr,
                  "%s: %s violates the attribution invariant "
-                 "(%llu violations, %llu incomplete slices)\n",
+                 "(%zu violations, %llu incomplete slices)\n",
                  cell->Name().c_str(), name.c_str(),
-                 static_cast<unsigned long long>(
-                     profile.attribution_violations),
+                 profile.attribution_violations.size(),
                  static_cast<unsigned long long>(profile.incomplete_slices));
     return false;
   }

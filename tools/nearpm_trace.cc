@@ -3,8 +3,8 @@
 //
 // Inputs (repeatable, combined into one labeled source set):
 //
-//   --flight-in=FILE          a flight-record dump (the nearpm-flight-v1
-//                             JSONL a breach writes, or DumpFlightRecord's
+//   --flight-in=FILE          a flight-record dump (the nearpm-flight-v2
+//                             JSONL a breach writes, or WriteFlightDump's
 //                             output): the header names the sources, every
 //                             record line rejoins the source it came from
 //   --trace-in=[LABEL:]FILE   a raw trace (WriteRawTrace JSONL) as one
@@ -19,7 +19,8 @@
 //                             ascending, one per line
 //   --request=ID              reconstruct and render request ID's
 //                             cross-source timeline (hops, gaps, device
-//                             slice attribution)
+//                             slice attribution, and any device slice of
+//                             the request that does not tile its span)
 //   --request=slowest         same, picking the slowest request named by
 //                             the dump's alert
 //   --perfetto=FILE           with --request: also write the per-request
@@ -40,8 +41,8 @@
 
 #include "src/common/json.h"
 #include "src/obs/flight_recorder.h"
-#include "src/prof/raw_trace.h"
 #include "src/prof/request_timeline.h"
+#include "src/trace/raw_trace.h"
 #include "src/trace/trace_event.h"
 #include "tools/flags.h"
 
@@ -61,25 +62,7 @@ bool LoadFlightDump(const std::string& path,
     *error = path + ": " + dump.status().message();
     return false;
   }
-  const std::size_t base = sources->size();
-  for (const std::string& label : dump->sources) {
-    sources->push_back(TimelineSource{label, {}});
-  }
-  // The compacted form drops ranges and arg1; they stay zero.
-  for (const obs::FlightRecord& r : dump->records) {
-    TraceEvent event;
-    event.phase = r.phase;
-    event.pid = r.pid;
-    event.tid = r.tid;
-    event.ts = r.ts;
-    event.dur = r.dur;
-    event.seq = r.seq;
-    event.arg0 = r.arg0;
-    event.epoch = r.epoch;
-    event.order = r.order;
-    event.trace = r.trace;
-    (*sources)[base + r.source].events.push_back(event);
-  }
+  sources->insert(sources->end(), dump->sources.begin(), dump->sources.end());
   *alert_json = dump->alert_json;
   return true;
 }
@@ -219,8 +202,8 @@ int Run(int argc, char** argv) {
   RenderRequestTimeline(timeline, std::cout);
   if (!timeline.AttributionHolds()) {
     std::fprintf(stderr,
-                 "request %" PRIu64 ": slice attribution does not tile\n",
-                 trace_id);
+                 "request %" PRIu64 ": %zu device slice(s) do not tile\n",
+                 trace_id, timeline.attribution_violations.size());
     return 1;
   }
   if (!perfetto.empty()) {
