@@ -9,8 +9,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/harness.h"
-#include "src/core/runtime.h"
-#include "src/workloads/workload.h"
 
 namespace nearpm {
 namespace bench {
@@ -36,27 +34,15 @@ double Speedup(const std::string& workload, const AblationConfig& ac) {
     opts.retain_crash_state = false;
     Runtime rt(opts);
     AttachBenchTrace(rt);
-    PoolArena arena;
-    auto w = CreateWorkload(workload);
-    WorkloadConfig config;
-    config.mechanism = Mechanism::kLogging;
-    config.threads = ac.threads;
-    config.data_size = 4ull << 20;
-    config.initial_keys = 400;
-    if (!w->Setup(rt, arena, config).ok()) {
-      std::abort();
-    }
-    rt.DrainDevices(0);
-    const SimTime start = rt.stats().MaxThreadTime();
-    Rng rng(9);
-    for (int op = 0; op < 400 * ac.threads; ++op) {
-      if (!w->RunOp(static_cast<ThreadId>(op % ac.threads), rng).ok()) {
-        std::abort();
-      }
-    }
-    for (int t = 0; t < ac.threads; ++t) {
-      rt.DrainDevices(static_cast<ThreadId>(t));
-    }
+    WorkloadRun spec;
+    spec.workload = workload;
+    spec.config.mechanism = Mechanism::kLogging;
+    spec.config.threads = ac.threads;
+    spec.config.data_size = 4ull << 20;
+    spec.config.initial_keys = 400;
+    spec.ops = 400 * static_cast<std::uint64_t>(ac.threads);
+    spec.op_seed = 9;
+    const SimTime start = DriveOrAbort(rt, spec).MaxThreadTime();
     return static_cast<double>(rt.stats().MaxThreadTime() - start);
   };
   return run(ExecMode::kCpuBaseline) / run(ac.ndp_mode);

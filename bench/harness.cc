@@ -10,6 +10,7 @@
 #include "src/common/stats.h"
 #include "src/serve/front_end.h"
 #include "src/trace/chrome_exporter.h"
+#include "tools/flags.h"
 
 namespace nearpm {
 namespace bench {
@@ -40,43 +41,18 @@ RunResult RunWorkload(const RunConfig& config) {
   opts.retain_crash_state = false;  // pure-performance run
   Runtime rt(opts);
   AttachBenchTrace(rt);
-  PoolArena arena(0);
 
-  auto workload = CreateWorkload(config.workload);
-  if (workload == nullptr) {
-    std::fprintf(stderr, "unknown workload %s\n", config.workload.c_str());
-    std::abort();
-  }
-  WorkloadConfig wc;
-  wc.mechanism = config.mechanism;
-  wc.threads = config.threads;
-  wc.data_size = config.data_size;
-  wc.initial_keys = config.initial_keys;
-  wc.seed = config.seed;
-  Status st = workload->Setup(rt, arena, wc);
-  if (!st.ok()) {
-    std::fprintf(stderr, "setup(%s) failed: %s\n", config.workload.c_str(),
-                 st.ToString().c_str());
-    std::abort();
-  }
-  rt.DrainDevices(0);
-
-  // Measure from here: snapshot-and-subtract keeps clocks monotonic.
-  const RuntimeStats before = rt.stats();
-  Rng rng(config.seed * 31 + 1);
-  for (std::uint64_t i = 0; i < config.ops; ++i) {
-    const ThreadId t = static_cast<ThreadId>(i % config.threads);
-    st = workload->RunOp(t, rng);
-    if (!st.ok()) {
-      std::fprintf(stderr, "op %llu (%s) failed: %s\n",
-                   static_cast<unsigned long long>(i),
-                   config.workload.c_str(), st.ToString().c_str());
-      std::abort();
-    }
-  }
-  for (int t = 0; t < config.threads; ++t) {
-    rt.DrainDevices(static_cast<ThreadId>(t));
-  }
+  WorkloadRun run;
+  run.workload = config.workload;
+  run.config.mechanism = config.mechanism;
+  run.config.threads = config.threads;
+  run.config.data_size = config.data_size;
+  run.config.initial_keys = config.initial_keys;
+  run.config.seed = config.seed;
+  run.ops = config.ops;
+  // Measure from the end of setup: snapshot-and-subtract keeps clocks
+  // monotonic.
+  const RuntimeStats before = DriveOrAbort(rt, run);
   const RuntimeStats& after = rt.stats();
 
   RunResult r;
@@ -98,6 +74,15 @@ RunResult RunWorkload(const RunConfig& config) {
     r.throughput_mops = static_cast<double>(config.ops) * 1e3 / r.total_ns;
   }
   return r;
+}
+
+RuntimeStats DriveOrAbort(Runtime& rt, const WorkloadRun& run) {
+  StatusOr<RuntimeStats> at_setup = DriveWorkload(rt, run);
+  if (!at_setup.ok()) {
+    std::fprintf(stderr, "%s\n", at_setup.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(*at_setup);
 }
 
 double MeanSpeedup(Mechanism mechanism, ExecMode mode, bool region_time,
@@ -174,15 +159,15 @@ int BenchMain(int argc, char** argv, const std::string& figure) {
   std::string json_out = "BENCH_" + figure + ".json";
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--trace-out=", 0) == 0) {
-      trace_out = a.substr(sizeof("--trace-out=") - 1);
-    } else if (a.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = a.substr(sizeof("--metrics-out=") - 1);
-    } else if (a.rfind("--json-out=", 0) == 0) {
-      json_out = a.substr(sizeof("--json-out=") - 1);
-    } else if (a.rfind("--hw-config=", 0) == 0) {
-      auto hw = hwmodel::LoadHwConfigFile(a.substr(sizeof("--hw-config=") - 1));
+    const char* value = nullptr;
+    if (MatchFlag(argv[i], "--trace-out", &value)) {
+      trace_out = value;
+    } else if (MatchFlag(argv[i], "--metrics-out", &value)) {
+      metrics_out = value;
+    } else if (MatchFlag(argv[i], "--json-out", &value)) {
+      json_out = value;
+    } else if (MatchFlag(argv[i], "--hw-config", &value)) {
+      auto hw = hwmodel::LoadHwConfigFile(value);
       if (!hw.ok()) {
         std::fprintf(stderr, "--hw-config: %s\n",
                      hw.status().ToString().c_str());
@@ -225,15 +210,9 @@ int BenchMain(int argc, char** argv, const std::string& figure) {
     MetricsRegistry merged;
     merged.MergeFrom(g_bench_trace->metrics());
     merged.MergeFrom(BenchMetrics());
-    std::FILE* f = std::fopen(metrics_out.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "failed to write metrics to %s\n",
-                   metrics_out.c_str());
+    if (!WriteOutput(metrics_out, merged.ToPrometheus())) {
       return 1;
     }
-    const std::string text = merged.ToPrometheus();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
   }
   return 0;
 }

@@ -55,6 +55,10 @@ struct RunResult {
 // returns metrics measured after the initial population (setup excluded).
 RunResult RunWorkload(const RunConfig& config);
 
+// DriveWorkload, aborting with the failed stage on stderr: a figure whose
+// run fails has no number to report.
+RuntimeStats DriveOrAbort(Runtime& rt, const WorkloadRun& run);
+
 // Convenience: geometric-mean speedup of `mode` over the CPU baseline across
 // all nine workloads for one mechanism, using region or end-to-end time.
 double MeanSpeedup(Mechanism mechanism, ExecMode mode, bool region_time,

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -115,6 +116,19 @@ bool ReadRawTrace(std::istream& is, std::vector<TraceEvent>* out,
     out->push_back(e);
   }
   return true;
+}
+
+StatusOr<std::vector<TraceEvent>> ReadRawTraceFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    return NotFound("cannot open " + path);
+  }
+  std::vector<TraceEvent> events;
+  std::string error;
+  if (!ReadRawTrace(in, &events, &error)) {
+    return InvalidArgument(path + ": " + error);
+  }
+  return events;
 }
 
 }  // namespace nearpm

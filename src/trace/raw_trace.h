@@ -43,6 +43,10 @@ void WriteRawTrace(const std::vector<TraceEvent>& events, std::ostream& os);
 bool ReadRawTrace(std::istream& is, std::vector<TraceEvent>* out,
                   std::string* error = nullptr);
 
+// The raw trace in file `path`: NotFound when the file cannot be opened,
+// InvalidArgument naming the file and its first malformed line.
+StatusOr<std::vector<TraceEvent>> ReadRawTraceFile(const std::string& path);
+
 }  // namespace nearpm
 
 #endif  // SRC_TRACE_RAW_TRACE_H_

@@ -50,4 +50,32 @@ std::vector<std::string> EvaluatedWorkloads() {
           "hashmap", "memcached", "redis", "pmemkv"};
 }
 
+StatusOr<RuntimeStats> DriveWorkload(Runtime& rt, const WorkloadRun& run) {
+  const std::unique_ptr<Workload> workload = CreateWorkload(run.workload);
+  if (workload == nullptr) {
+    return NotFound("unknown workload " + run.workload);
+  }
+  PoolArena arena;
+  Status st = workload->Setup(rt, arena, run.config);
+  if (!st.ok()) {
+    return Status(st.code(), "setup(" + run.workload + "): " + st.message());
+  }
+  rt.DrainDevices(0);
+  RuntimeStats at_setup = rt.stats();
+
+  const int threads = run.config.threads;
+  Rng rng(run.op_seed.value_or(run.config.seed * 31 + 1));
+  for (std::uint64_t i = 0; i < run.ops; ++i) {
+    st = workload->RunOp(static_cast<ThreadId>(i % threads), rng);
+    if (!st.ok()) {
+      return Status(st.code(), "op " + std::to_string(i) + " (" +
+                                   run.workload + "): " + st.message());
+    }
+  }
+  for (int t = 0; t < threads; ++t) {
+    rt.DrainDevices(static_cast<ThreadId>(t));
+  }
+  return at_setup;
+}
+
 }  // namespace nearpm

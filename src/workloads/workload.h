@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,26 @@ std::unique_ptr<Workload> CreateWorkload(const std::string& name);
 
 // The evaluation's workload list, in the paper's order.
 std::vector<std::string> EvaluatedWorkloads();
+
+// One run under the evaluation's measurement protocol.
+struct WorkloadRun {
+  std::string workload;  // a CreateWorkload name
+  WorkloadConfig config;
+  std::uint64_t ops = 0;  // total operations across config.threads
+  // Seeds the op stream; unset means config.seed * 31 + 1, the stream
+  // every figure and tool but the PPO ablation uses.
+  std::optional<std::uint64_t> op_seed;
+};
+
+// The one workload driver every figure and workload tool shares: creates
+// the workload, runs Setup on `rt`, drains, runs `run.ops` operations
+// round-robin over the threads, then drains every thread. The caller builds
+// `rt` with its own options and attaches its own trace or sanitizer first,
+// so setup is recorded whenever the caller records. Returns the stats at
+// the end of setup, which the caller subtracts from rt.stats() to measure
+// the ops alone, or a Status that names the stage that failed: NotFound for
+// an unknown workload, else the failing setup's or op's own code.
+StatusOr<RuntimeStats> DriveWorkload(Runtime& rt, const WorkloadRun& run);
 
 // 64-byte application values (Table 4).
 inline constexpr std::size_t kValueSize = 64;

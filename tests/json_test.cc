@@ -207,12 +207,97 @@ TEST(FlagsTest, ParseDoubleTakesFiniteNumbersOnly) {
   EXPECT_TRUE(ParseDouble("2e3", &v));
   EXPECT_DOUBLE_EQ(v, 2000.0);
   for (const char* bad : {"", " 1", "1 ", "\t1", "1x", "nan", "NAN", "inf",
-                          "-inf", "infinity", "1e999", "-1e999"}) {
+                          "-inf", "infinity", "1e999", "-1e999", "0x10",
+                          "0X1p4"}) {
     v = 7;
     EXPECT_FALSE(ParseDouble(bad, &v)) << "accepted \"" << bad << "\"";
     EXPECT_EQ(v, 7.0) << "a rejected value must leave the output alone";
   }
   EXPECT_FALSE(ParseDouble(nullptr, &v));
+}
+
+TEST(FlagsTest, SplitListKeepsEmptyElements) {
+  EXPECT_EQ(SplitList("btree,hashmap"),
+            (std::vector<std::string>{"btree", "hashmap"}));
+  EXPECT_EQ(SplitList("4"), (std::vector<std::string>{"4"}));
+  EXPECT_EQ(SplitList(""), (std::vector<std::string>{""}));
+  EXPECT_EQ(SplitList(",2,"), (std::vector<std::string>{"", "2", ""}));
+}
+
+TEST(FlagsTest, ParseListParsesEveryElementStrictly) {
+  std::vector<int> counts = {7};
+  EXPECT_TRUE(ParseList("2,4,8", ParseCount, &counts));
+  EXPECT_EQ(counts, (std::vector<int>{2, 4, 8}));
+  std::vector<double> gbps;
+  EXPECT_TRUE(ParseList("2.5,4e0", ParseDouble, &gbps));
+  EXPECT_EQ(gbps, (std::vector<double>{2.5, 4.0}));
+  for (const char* bad : {"", "2,", ",2", "2,,4", "1e0,2", "2.0", "0", " 4",
+                          "0x10", "-1"}) {
+    counts = {7};
+    EXPECT_FALSE(ParseList(bad, ParseCount, &counts)) << "accepted " << bad;
+    EXPECT_EQ(counts, (std::vector<int>{7})) << "must leave the list alone";
+  }
+  for (const char* bad : {"", "4,", " 4", "0x10", "4,nan"}) {
+    EXPECT_FALSE(ParseList(bad, ParseDouble, &gbps)) << "accepted " << bad;
+  }
+}
+
+TEST(FlagsTest, WorkloadFlagsTakeOnlyTheSharedFlags) {
+  WorkloadFlags flags = {.ops = 400, .initial_keys = 500};
+  EXPECT_EQ(ParseWorkloadFlag("--ops=12", &flags), FlagMatch::kTaken);
+  EXPECT_EQ(ParseWorkloadFlag("--threads=3", &flags), FlagMatch::kTaken);
+  EXPECT_EQ(ParseWorkloadFlag("--mechanism=cow", &flags), FlagMatch::kTaken)
+      << "names are checked when resolved, not when parsed";
+  EXPECT_EQ(flags.ops, 12u);
+  EXPECT_EQ(flags.threads, 3);
+  EXPECT_EQ(flags.initial_keys, 500u);
+
+  for (const char* bad : {"--threads=0", "--ops=-1", "--seed=x",
+                          "--initial-keys=1.5", "--threads=2147483648"}) {
+    EXPECT_EQ(ParseWorkloadFlag(bad, &flags), FlagMatch::kBadValue) << bad;
+  }
+  EXPECT_EQ(flags.ops, 12u) << "a bad value must leave the flags alone";
+  EXPECT_EQ(flags.threads, 3);
+
+  for (const char* other : {"--workload=btree", "--workloads=btree",
+                            "--units=4", "--opsx=1", "--ops", "--quiet"}) {
+    EXPECT_EQ(ParseWorkloadFlag(other, &flags), FlagMatch::kNotMine) << other;
+  }
+}
+
+TEST(FlagsTest, ResolveTakesOnlyTheNameTables) {
+  WorkloadFlags flags = {.ops = 9, .initial_keys = 50};
+  flags.threads = 2;
+  const StatusOr<ResolvedWorkload> resolved =
+      ResolveWorkloadFlags(flags, "btree");
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  EXPECT_EQ(resolved->options.mode, ExecMode::kNdpMultiDelayed);
+  EXPECT_EQ(resolved->options.max_threads, 2);
+  EXPECT_FALSE(resolved->options.retain_crash_state);
+  EXPECT_EQ(resolved->run.workload, "btree");
+  EXPECT_EQ(resolved->run.config.mechanism, Mechanism::kLogging);
+  EXPECT_EQ(resolved->run.config.threads, 2);
+  EXPECT_EQ(resolved->run.config.initial_keys, 50u);
+  EXPECT_EQ(resolved->run.config.seed, 7u);
+  EXPECT_EQ(resolved->run.ops, 9u);
+  EXPECT_FALSE(resolved->run.op_seed.has_value());
+
+  for (const char* mechanism : {"cow", "redo"}) {
+    flags.mechanism = mechanism;
+    EXPECT_EQ(ResolveWorkloadFlags(flags, "btree").status().code(),
+              StatusCode::kInvalidArgument)
+        << mechanism;
+  }
+  flags.mechanism = "shadow_paging";
+  flags.mode = "nearpm";
+  EXPECT_EQ(ResolveWorkloadFlags(flags, "btree").status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The usage text lists exactly what resolves.
+  EXPECT_EQ(JoinNames(MechanismNames()),
+            "logging | redo_logging | checkpointing | shadow_paging");
+  EXPECT_EQ(JoinNames(ExecModeNames()),
+            "baseline | nearpm_sd | nearpm_md_swsync | nearpm_md");
 }
 
 TEST(FlagsTest, MatchFlagShapes) {

@@ -1,11 +1,14 @@
-// Workload tests: functional behaviour of the nine applications, and
-// crash-recovery property sweeps driven by each workload's own structural
-// Verify() (tree order/balance, chain integrity, table invariants).
+// Workload tests: functional behaviour of the nine applications, the one
+// driver the figures and tools share, and crash-recovery property sweeps
+// driven by each workload's own structural Verify() (tree order/balance,
+// chain integrity, table invariants).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/workloads/btree.h"
@@ -134,6 +137,86 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param) + "_" +
              MechanismName(std::get<1>(info.param));
     });
+
+// ---- The shared driver ------------------------------------------------------
+
+// Every aggregate the figures read, plus each thread's clock.
+std::vector<double> StatsFingerprint(const RuntimeStats& stats, int threads) {
+  std::vector<double> out = {static_cast<double>(stats.MaxThreadTime()),
+                             stats.CcRegionNs(), stats.AppNs(),
+                             stats.OverlapNs()};
+  for (int c = 0; c < static_cast<int>(CcCategory::kCount); ++c) {
+    out.push_back(stats.CategoryNs(static_cast<CcCategory>(c)));
+  }
+  for (int t = 0; t < threads; ++t) {
+    out.push_back(static_cast<double>(stats.now(static_cast<ThreadId>(t))));
+  }
+  return out;
+}
+
+WorkloadRun SmallRun(const std::string& workload) {
+  WorkloadRun run;
+  run.workload = workload;
+  run.config = SmallConfig(Mechanism::kLogging);
+  run.config.threads = 2;
+  run.ops = 120;
+  return run;
+}
+
+// (stats at the end of setup, stats at the end) of one driven run.
+std::pair<std::vector<double>, std::vector<double>> Drive(
+    const WorkloadRun& run) {
+  RuntimeOptions opts = Opts(ExecMode::kNdpMultiDelayed);
+  opts.max_threads = run.config.threads;
+  Runtime rt(opts);
+  const StatusOr<RuntimeStats> at_setup = DriveWorkload(rt, run);
+  EXPECT_TRUE(at_setup.ok()) << at_setup.status().ToString();
+  if (!at_setup.ok()) {
+    return {};
+  }
+  return {StatsFingerprint(*at_setup, run.config.threads),
+          StatsFingerprint(rt.stats(), run.config.threads)};
+}
+
+TEST(DriveWorkloadTest, SameRunTwiceGivesIdenticalStats) {
+  for (const char* name : {"hashmap", "tpcc"}) {
+    const auto first = Drive(SmallRun(name));
+    ASSERT_FALSE(first.first.empty()) << name;
+    EXPECT_EQ(first, Drive(SmallRun(name))) << name;
+    EXPECT_GT(first.second[0], first.first[0])
+        << name << ": the ops must advance the clock past setup";
+  }
+}
+
+TEST(DriveWorkloadTest, OpSeedSelectsTheOpStream) {
+  const WorkloadRun derived = SmallRun("btree");
+  const auto expected = Drive(derived);
+  WorkloadRun pinned = derived;
+  pinned.op_seed = derived.config.seed * 31 + 1;
+  EXPECT_EQ(Drive(pinned), expected) << "unset means seed * 31 + 1";
+  pinned.op_seed = 9;
+  const auto other = Drive(pinned);
+  EXPECT_EQ(other.first, expected.first) << "setup does not use it";
+  EXPECT_NE(other.second, expected.second);
+}
+
+TEST(DriveWorkloadTest, FailuresNameTheirStage) {
+  Runtime rt(Opts(ExecMode::kCpuBaseline));
+  const StatusOr<RuntimeStats> unknown = DriveWorkload(rt, SmallRun("nope"));
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(unknown.status().message(), "unknown workload nope");
+
+  // A pool larger than the PM space fails in Setup.
+  WorkloadRun too_big = SmallRun("btree");
+  too_big.config.data_size = 1ull << 30;
+  const StatusOr<RuntimeStats> setup = DriveWorkload(rt, too_big);
+  ASSERT_FALSE(setup.ok());
+  EXPECT_NE(setup.status().code(), StatusCode::kNotFound)
+      << "only an unknown name reads as NotFound";
+  EXPECT_EQ(setup.status().message().rfind("setup(btree): ", 0), 0u)
+      << setup.status().message();
+}
 
 // ---- Crash-recovery sweep -------------------------------------------------------
 

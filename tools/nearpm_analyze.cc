@@ -9,7 +9,8 @@
 // analyzer still has teeth against the enforce_ppo=false ablation).
 //
 //   --workload=NAME     workload to run (default btree; see src/workloads)
-//   --mechanism=NAME    logging | redo | checkpointing | cow (default logging)
+//   --mechanism=NAME    logging | redo_logging | checkpointing |
+//                       shadow_paging (default logging)
 //   --mode=NAME         baseline | nearpm_sd | nearpm_md_swsync | nearpm_md
 //                       (default nearpm_md)
 //   --ops=N             operations after setup (default 200)
@@ -30,11 +31,9 @@
 //   --bench-json=FILE   write deterministic hook counters in google-benchmark
 //                       JSON shape (tools/check_bench.py gates these)
 //   --quiet             suppress the human text report on stdout
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,7 +43,6 @@
 #include "src/common/files.h"
 #include "src/fuzz/repro.h"
 #include "src/trace/raw_trace.h"
-#include "src/workloads/workload.h"
 #include "tools/flags.h"
 
 namespace nearpm {
@@ -52,13 +50,8 @@ namespace {
 
 struct CliOptions {
   std::string workload = "btree";
-  std::string mechanism = "logging";
-  std::string mode = "nearpm_md";
-  std::uint64_t ops = 200;
-  int threads = 1;
+  WorkloadFlags run = {.ops = 200, .initial_keys = 200};
   int units = 4;
-  std::uint64_t initial_keys = 200;
-  std::uint64_t seed = 7;
   bool enforce_ppo = true;
   std::string trace_in;
   std::string corpus;
@@ -71,30 +64,12 @@ struct CliOptions {
 };
 
 int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--workload=NAME] [--mechanism=NAME] [--mode=NAME]\n"
-      "          [--ops=N] [--threads=N] [--units=N] [--initial-keys=N]\n"
-      "          [--seed=N] [--enforce-ppo=0|1] [--trace-in=FILE]\n"
-      "          [--corpus=DIR] [--suppress=SPEC]... [--expect-findings]\n"
-      "          [--sarif=FILE] [--json-out=FILE] [--bench-json=FILE]\n"
-      "          [--quiet]\n",
-      argv0);
-  return 2;
-}
-
-bool WriteOutput(const std::string& path, const std::string& text) {
-  if (path == "-") {
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    return true;
-  }
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
+  return WorkloadUsage(
+      argv0,
+      "[--workload=NAME] [--units=N] [--enforce-ppo=0|1]\n"
+      "          [--trace-in=FILE] [--corpus=DIR] [--suppress=SPEC]...\n"
+      "          [--expect-findings] [--sarif=FILE] [--json-out=FILE]\n"
+      "          [--bench-json=FILE] [--quiet]");
 }
 
 // Deterministic hook counters in the google-benchmark JSON shape that
@@ -104,8 +79,8 @@ bool WriteOutput(const std::string& path, const std::string& text) {
 std::string BenchJson(const CliOptions& cli, const analyze::PmSanitizer& san,
                       SimTime sim_ns) {
   const analyze::PmSanitizer::Stats& s = san.stats();
-  std::string name = "analyze/" + cli.workload + "_" + cli.mechanism + "_" +
-                     cli.mode;
+  std::string name = "analyze/" + cli.workload + "_" + cli.run.mechanism +
+                     "_" + cli.run.mode;
   std::string out = "{\n  \"benchmarks\": [\n    {\n";
   out += "      \"name\": \"" + name + "\",\n";
   auto counter = [&out](const char* key, std::uint64_t v, bool last = false) {
@@ -130,58 +105,21 @@ std::string BenchJson(const CliOptions& cli, const analyze::PmSanitizer& san,
 // like main; `sim_ns` receives the final simulated time.
 int RunWorkloadAnalyzed(const CliOptions& cli, analyze::PmSanitizer* san,
                         SimTime* sim_ns) {
-  const auto mechanism = MechanismFromName(cli.mechanism);
-  if (!mechanism.ok()) {
-    std::fprintf(stderr, "unknown mechanism %s\n", cli.mechanism.c_str());
+  StatusOr<ResolvedWorkload> resolved =
+      ResolveWorkloadFlags(cli.run, cli.workload);
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().message().c_str());
     return 2;
   }
-  const auto mode = ExecModeFromName(cli.mode);
-  if (!mode.ok()) {
-    std::fprintf(stderr, "unknown mode %s\n", cli.mode.c_str());
-    return 2;
-  }
-  auto workload = CreateWorkload(cli.workload);
-  if (workload == nullptr) {
-    std::fprintf(stderr, "unknown workload %s\n", cli.workload.c_str());
-    return 2;
-  }
-
-  RuntimeOptions opts;
-  opts.mode = *mode;
+  RuntimeOptions& opts = resolved->options;
   opts.hw.units_per_device = cli.units;
-  opts.max_threads = cli.threads;
-  opts.pm_size = 512ull << 20;
   opts.retain_crash_state = true;  // the sanitizer needs retire bookkeeping
   opts.enforce_ppo = cli.enforce_ppo;
   Runtime rt(opts);
   rt.AttachSanitizer(san);
-  PoolArena arena(0);
-
-  WorkloadConfig wc;
-  wc.mechanism = *mechanism;
-  wc.threads = cli.threads;
-  wc.initial_keys = cli.initial_keys;
-  wc.seed = cli.seed;
-  Status st = workload->Setup(rt, arena, wc);
-  if (!st.ok()) {
-    std::fprintf(stderr, "setup(%s) failed: %s\n", cli.workload.c_str(),
-                 st.ToString().c_str());
-    return 1;
-  }
-  rt.DrainDevices(0);
-
-  Rng rng(cli.seed * 31 + 1);
-  for (std::uint64_t i = 0; i < cli.ops; ++i) {
-    const ThreadId t = static_cast<ThreadId>(i % cli.threads);
-    st = workload->RunOp(t, rng);
-    if (!st.ok()) {
-      std::fprintf(stderr, "op %llu failed: %s\n",
-                   static_cast<unsigned long long>(i), st.ToString().c_str());
-      return 1;
-    }
-  }
-  for (int t = 0; t < cli.threads; ++t) {
-    rt.DrainDevices(static_cast<ThreadId>(t));
+  const StatusOr<RuntimeStats> at_setup = DriveWorkload(rt, resolved->run);
+  if (!at_setup.ok()) {
+    return DriveFailure(at_setup.status());
   }
   *sim_ns = rt.Now(0);
   san->Finish(*sim_ns);
@@ -250,22 +188,13 @@ int AnalyzeMain(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
     std::uint64_t n = 0;
+    const FlagMatch shared = ParseWorkloadFlag(argv[i], &cli.run);
+    if (shared == FlagMatch::kBadValue) return Usage(argv[0]);
+    if (shared == FlagMatch::kTaken) continue;
     if (MatchFlag(argv[i], "--workload", &value)) {
       cli.workload = value;
-    } else if (MatchFlag(argv[i], "--mechanism", &value)) {
-      cli.mechanism = value;
-    } else if (MatchFlag(argv[i], "--mode", &value)) {
-      cli.mode = value;
-    } else if (MatchFlag(argv[i], "--ops", &value)) {
-      if (!ParseUint(value, &cli.ops)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--threads", &value)) {
-      if (!ParseCount(value, &cli.threads)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--units", &value)) {
       if (!ParseCount(value, &cli.units)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--initial-keys", &value)) {
-      if (!ParseUint(value, &cli.initial_keys)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--seed", &value)) {
-      if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--enforce-ppo", &value)) {
       if (!ParseUint(value, &n) || n > 1) return Usage(argv[0]);
       cli.enforce_ppo = n != 0;
@@ -305,21 +234,17 @@ int AnalyzeMain(int argc, char** argv) {
 
   SimTime sim_ns = 0;
   if (!cli.trace_in.empty()) {
-    std::ifstream in(cli.trace_in);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", cli.trace_in.c_str());
+    const StatusOr<std::vector<TraceEvent>> events =
+        ReadRawTraceFile(cli.trace_in);
+    if (!events.ok()) {
+      std::fprintf(stderr, "%s\n", events.status().message().c_str());
       return 1;
     }
-    std::vector<TraceEvent> events;
-    std::string error;
-    if (!ReadRawTrace(in, &events, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    for (const TraceEvent& e : events) {
+    for (const TraceEvent& e : *events) {
       sim_ns = std::max(sim_ns, e.ts + e.dur);
     }
-    const analyze::TraceAnalysisStats ts = analyze::AnalyzeTrace(events, &san);
+    const analyze::TraceAnalysisStats ts =
+        analyze::AnalyzeTrace(*events, &san);
     if (!cli.quiet) {
       std::printf("trace: %llu event(s) replayed, %llu ignored\n",
                   static_cast<unsigned long long>(ts.events),

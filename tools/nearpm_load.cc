@@ -62,7 +62,8 @@
 //   --slo=FILE                arm the SLO watchdog with this spec (JSON,
 //                             see src/obs/slo.h; configs/slo-default.json)
 //   --flight-dump=FILE        where a breach dumps the flight record; the
-//                             file is only created when an alert fires
+//                             file is only created when an alert fires,
+//                             so the flag needs --slo
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -70,7 +71,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <future>
 #include <optional>
 #include <random>
@@ -590,19 +590,6 @@ void AppendHist(std::string* out, const LoopResult& r) {
   }
 }
 
-// Writes `text` to `path`; false (and why on stderr) when any byte of it
-// could not be written.
-bool WriteOutput(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 int Usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -697,6 +684,12 @@ int Run(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
+  }
+  if (!cli.flight_dump.empty() && !cli.slo) {
+    std::fprintf(stderr,
+                 "--flight-dump needs --slo: only an armed SLO watchdog "
+                 "writes a dump\n");
+    return Usage(argv[0]);
   }
   if (cli.multiput_every > 0 && cli.keys < kMultiPutPairs) {
     std::fprintf(stderr, "--multiput-every needs --keys >= %" PRIu64 "\n",

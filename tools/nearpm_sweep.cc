@@ -10,8 +10,10 @@
 // bit-for-bit, which the CI sweep-smoke job gates with --tolerance 0.
 //
 //   --workloads=A,B     comma list of workloads (default btree,hashmap)
-//   --mechanism=NAME    crash-consistency mechanism (default logging)
-//   --mode=NAME         execution mode (default nearpm_md)
+//   --mechanism=NAME    logging | redo_logging | checkpointing |
+//                       shadow_paging (default logging)
+//   --mode=NAME         baseline | nearpm_sd | nearpm_md_swsync | nearpm_md
+//                       (default nearpm_md)
 //   --ops=N             operations per workload after setup (default 300)
 //   --threads=N         application threads (default 1)
 //   --units=LIST        unit-count axis (default 2,4,8)
@@ -23,20 +25,15 @@
 //   --json-out=FILE     check_bench-schema JSON (one benchmark per cell)
 //   --csv-out=FILE      one row per cell for plotting the Pareto front
 //   --quiet             suppress the per-cell progress table
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/core/runtime.h"
-#include "src/pmlib/provider.h"
 #include "src/hwmodel/hw_config.h"
 #include "src/prof/profile.h"
-#include "src/workloads/workload.h"
 #include "tools/flags.h"
 
 namespace nearpm {
@@ -44,18 +41,13 @@ namespace {
 
 struct CliOptions {
   std::vector<std::string> workloads = {"btree", "hashmap"};
-  std::string mechanism = "logging";
-  std::string mode = "nearpm_md";
-  std::uint64_t ops = 300;
-  int threads = 1;
+  WorkloadFlags run = {.ops = 300, .initial_keys = 200};
   std::vector<int> units = {2, 4, 8};
   std::vector<int> fifo = {8, 32, 64};
   std::vector<double> axi_gbps = {2.0, 4.0, 8.0};
   std::string base_config;
   std::string json_out;
   std::string csv_out;
-  std::uint64_t initial_keys = 200;
-  std::uint64_t seed = 7;
   bool quiet = false;
 };
 
@@ -79,121 +71,32 @@ struct Cell {
   }
 };
 
-bool ParseDoubleList(const char* text, std::vector<double>* out) {
-  out->clear();
-  const char* p = text;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const double v = std::strtod(p, &end);
-    if (end == p) {
-      return false;
-    }
-    out->push_back(v);
-    p = end;
-    if (*p == ',') {
-      ++p;
-    } else if (*p != '\0') {
-      return false;
-    }
-  }
-  return !out->empty();
-}
-
-bool ParseIntList(const char* text, std::vector<int>* out) {
-  std::vector<double> v;
-  if (!ParseDoubleList(text, &v)) {
-    return false;
-  }
-  out->clear();
-  for (double d : v) {
-    if (d < 1 || d != static_cast<double>(static_cast<int>(d))) {
-      return false;
-    }
-    out->push_back(static_cast<int>(d));
-  }
-  return true;
-}
-
-std::vector<std::string> SplitNames(const char* text) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char* p = text;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!cur.empty()) {
-        out.push_back(cur);
-      }
-      cur.clear();
-      if (*p == '\0') {
-        break;
-      }
-    } else {
-      cur += *p;
-    }
-  }
-  return out;
-}
-
 int Usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--workloads=A,B] [--mechanism=NAME] [--mode=NAME]\n"
-      "          [--ops=N] [--threads=N] [--units=LIST] [--fifo=LIST]\n"
+  return WorkloadUsage(
+      argv0,
+      "[--workloads=A,B] [--units=LIST] [--fifo=LIST]\n"
       "          [--axi-gbps=LIST] [--base-config=FILE] [--json-out=FILE]\n"
-      "          [--csv-out=FILE] [--initial-keys=N] [--seed=N] [--quiet]\n",
-      argv0);
-  return 2;
+      "          [--csv-out=FILE] [--quiet]");
 }
 
-// Runs one workload under `hw` and folds the trace into the cell. Returns
-// false (after printing) on setup/op failure or an attribution violation.
-bool RunCellWorkload(const CliOptions& cli, const std::string& name,
-                     Mechanism mechanism, ExecMode mode, Cell* cell) {
-  auto workload = CreateWorkload(name);
-  if (workload == nullptr) {
-    std::fprintf(stderr, "unknown workload %s\n", name.c_str());
-    return false;
-  }
+// Runs one workload under the cell's geometry and folds the trace into the
+// cell. Returns false (after printing) on a failed run or an attribution
+// violation.
+bool RunCellWorkload(ResolvedWorkload resolved, const std::string& name,
+                     Cell* cell) {
+  resolved.options.hw = cell->hw;
+  resolved.run.workload = name;
   TraceRecorder recorder;
-  RuntimeOptions opts;
-  opts.mode = mode;
-  opts.hw = cell->hw;
-  opts.max_threads = cli.threads;
-  opts.pm_size = 512ull << 20;
-  opts.retain_crash_state = false;
-  Runtime rt(opts);
+  Runtime rt(resolved.options);
   rt.AttachTrace(&recorder);
-  PoolArena arena(0);
-
-  WorkloadConfig wc;
-  wc.mechanism = mechanism;
-  wc.threads = cli.threads;
-  wc.initial_keys = cli.initial_keys;
-  wc.seed = cli.seed;
-  Status st = workload->Setup(rt, arena, wc);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s: setup(%s) failed: %s\n", cell->Name().c_str(),
-                 name.c_str(), st.ToString().c_str());
+  const StatusOr<RuntimeStats> at_setup = DriveWorkload(rt, resolved.run);
+  if (!at_setup.ok()) {
+    std::fprintf(stderr, "%s: %s\n", cell->Name().c_str(),
+                 at_setup.status().ToString().c_str());
     return false;
   }
-  rt.DrainDevices(0);
-
-  const SimTime measure_begin = rt.stats().MaxThreadTime();
-  Rng rng(cli.seed * 31 + 1);
-  for (std::uint64_t i = 0; i < cli.ops; ++i) {
-    const ThreadId t = static_cast<ThreadId>(i % cli.threads);
-    st = workload->RunOp(t, rng);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s: op %llu (%s) failed: %s\n",
-                   cell->Name().c_str(), static_cast<unsigned long long>(i),
-                   name.c_str(), st.ToString().c_str());
-      return false;
-    }
-  }
-  for (int t = 0; t < cli.threads; ++t) {
-    rt.DrainDevices(static_cast<ThreadId>(t));
-  }
-  cell->makespan_ns +=
-      static_cast<double>(rt.stats().MaxThreadTime() - measure_begin);
+  cell->makespan_ns += static_cast<double>(rt.stats().MaxThreadTime() -
+                                           at_setup->MaxThreadTime());
   for (int d = 0; d < rt.num_devices(); ++d) {
     cell->lsq_stalls += rt.device(d).stats().lsq_stalls;
   }
@@ -247,10 +150,10 @@ std::string RenderJson(const CliOptions& cli,
                        const std::vector<Cell>& cells) {
   std::string out = "{\n";
   out += "  \"context\": {\"tool\": \"nearpm_sweep\", \"mechanism\": \"" +
-         cli.mechanism + "\", \"mode\": \"" + cli.mode +
-         "\", \"ops\": " + std::to_string(cli.ops) +
-         ", \"threads\": " + std::to_string(cli.threads) +
-         ", \"seed\": " + std::to_string(cli.seed) + "},\n";
+         cli.run.mechanism + "\", \"mode\": \"" + cli.run.mode +
+         "\", \"ops\": " + std::to_string(cli.run.ops) +
+         ", \"threads\": " + std::to_string(cli.run.threads) +
+         ", \"seed\": " + std::to_string(cli.run.seed) + "},\n";
   // Wall time is the only nondeterministic counter; the override rides the
   // baseline so `check_bench.py --tolerance 0` still gates every simulated
   // counter bit-for-bit after a baseline regeneration.
@@ -294,47 +197,30 @@ std::string RenderCsv(const std::vector<Cell>& cells) {
   return out;
 }
 
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::trunc);
-  out << text;
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
 int SweepMain(int argc, char** argv) {
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
     const char* value = nullptr;
+    const FlagMatch shared = ParseWorkloadFlag(argv[i], &cli.run);
+    if (shared == FlagMatch::kBadValue) return Usage(argv[0]);
+    if (shared == FlagMatch::kTaken) continue;
     if (MatchFlag(argv[i], "--workloads", &value)) {
-      cli.workloads = SplitNames(value);
-      if (cli.workloads.empty()) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--mechanism", &value)) {
-      cli.mechanism = value;
-    } else if (MatchFlag(argv[i], "--mode", &value)) {
-      cli.mode = value;
-    } else if (MatchFlag(argv[i], "--ops", &value)) {
-      if (!ParseUint(value, &cli.ops) || cli.ops == 0) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--threads", &value)) {
-      if (!ParseCount(value, &cli.threads)) return Usage(argv[0]);
+      cli.workloads = SplitList(value);
+      for (const std::string& name : cli.workloads) {
+        if (name.empty()) return Usage(argv[0]);
+      }
     } else if (MatchFlag(argv[i], "--units", &value)) {
-      if (!ParseIntList(value, &cli.units)) return Usage(argv[0]);
+      if (!ParseList(value, ParseCount, &cli.units)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--fifo", &value)) {
-      if (!ParseIntList(value, &cli.fifo)) return Usage(argv[0]);
+      if (!ParseList(value, ParseCount, &cli.fifo)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--axi-gbps", &value)) {
-      if (!ParseDoubleList(value, &cli.axi_gbps)) return Usage(argv[0]);
+      if (!ParseList(value, ParseDouble, &cli.axi_gbps)) return Usage(argv[0]);
     } else if (MatchFlag(argv[i], "--base-config", &value)) {
       cli.base_config = value;
     } else if (MatchFlag(argv[i], "--json-out", &value)) {
       cli.json_out = value;
     } else if (MatchFlag(argv[i], "--csv-out", &value)) {
       cli.csv_out = value;
-    } else if (MatchFlag(argv[i], "--initial-keys", &value)) {
-      if (!ParseUint(value, &cli.initial_keys)) return Usage(argv[0]);
-    } else if (MatchFlag(argv[i], "--seed", &value)) {
-      if (!ParseUint(value, &cli.seed)) return Usage(argv[0]);
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       cli.quiet = true;
     } else {
@@ -342,15 +228,14 @@ int SweepMain(int argc, char** argv) {
       return Usage(argv[0]);
     }
   }
-
-  const auto mechanism = MechanismFromName(cli.mechanism);
-  if (!mechanism.ok()) {
-    std::fprintf(stderr, "unknown mechanism %s\n", cli.mechanism.c_str());
-    return 2;
+  if (cli.run.ops == 0) {
+    return Usage(argv[0]);
   }
-  const auto mode = ExecModeFromName(cli.mode);
-  if (!mode.ok()) {
-    std::fprintf(stderr, "unknown mode %s\n", cli.mode.c_str());
+
+  const StatusOr<ResolvedWorkload> resolved =
+      ResolveWorkloadFlags(cli.run, "");
+  if (!resolved.ok()) {
+    std::fprintf(stderr, "%s\n", resolved.status().message().c_str());
     return 2;
   }
 
@@ -385,10 +270,10 @@ int SweepMain(int argc, char** argv) {
         const auto wall_begin = std::chrono::steady_clock::now();
         double ops_total = 0.0;
         for (const std::string& name : cli.workloads) {
-          if (!RunCellWorkload(cli, name, *mechanism, *mode, &cell)) {
+          if (!RunCellWorkload(*resolved, name, &cell)) {
             return 1;
           }
-          ops_total += static_cast<double>(cli.ops);
+          ops_total += static_cast<double>(cli.run.ops);
         }
         cell.throughput_mops =
             cell.makespan_ns > 0 ? ops_total * 1e3 / cell.makespan_ns : 0.0;
@@ -421,10 +306,10 @@ int SweepMain(int argc, char** argv) {
   }
 
   if (!cli.json_out.empty() &&
-      !WriteFile(cli.json_out, RenderJson(cli, cells))) {
+      !WriteOutput(cli.json_out, RenderJson(cli, cells))) {
     return 1;
   }
-  if (!cli.csv_out.empty() && !WriteFile(cli.csv_out, RenderCsv(cells))) {
+  if (!cli.csv_out.empty() && !WriteOutput(cli.csv_out, RenderCsv(cells))) {
     return 1;
   }
   return 0;

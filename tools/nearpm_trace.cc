@@ -35,6 +35,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,18 +80,12 @@ bool LoadRawTrace(const std::string& spec,
     label = spec.substr(0, colon);
     path = spec.substr(colon + 1);
   }
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open " + path;
+  StatusOr<std::vector<TraceEvent>> events = ReadRawTraceFile(path);
+  if (!events.ok()) {
+    *error = events.status().message();
     return false;
   }
-  std::vector<TraceEvent> events;
-  std::string parse_error;
-  if (!ReadRawTrace(in, &events, &parse_error)) {
-    *error = path + ": " + parse_error;
-    return false;
-  }
-  sources->push_back(TimelineSource{label, std::move(events)});
+  sources->push_back(TimelineSource{label, std::move(*events)});
   return true;
 }
 
@@ -207,12 +202,11 @@ int Run(int argc, char** argv) {
     return 1;
   }
   if (!perfetto.empty()) {
-    std::ofstream out(perfetto, std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", perfetto.c_str());
+    std::ostringstream out;
+    WriteRequestTimelinePerfetto(timeline, out);
+    if (!WriteOutput(perfetto, out.str())) {
       return 2;
     }
-    WriteRequestTimelinePerfetto(timeline, out);
     std::printf("perfetto: wrote %s\n", perfetto.c_str());
   }
   return 0;
