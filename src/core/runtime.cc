@@ -250,26 +250,27 @@ std::vector<NdpWorkItem> Runtime::BuildWork(const NearPmRequest& request) {
   return work;
 }
 
-SimTime Runtime::IssueNdp(const NearPmRequest& request,
-                          const AddrRange& read_range,
-                          const AddrRange& write_range,
-                          const std::vector<NdpWorkItem>& work,
-                          SimTime earliest, bool synchronous, bool deferred,
-                          const analyze::SourceLoc& loc) {
+void Runtime::ChargeCpuWork(const NearPmRequest& request) {
+  const CostModel& cost = options_.hw.cost;
   const ThreadId t = request.thread;
-  HarvestSyncs(stats_.now(t));
-  CoherenceWriteback(t, read_range);
-  CoherenceWriteback(t, write_range);
+  if (request.op == NearPmOp::kCommitLog) {
+    stats_.ChargeAs(t, cost.cpu_log_delete_ns, CcCategory::kMetadata);
+    return;
+  }
+  stats_.ChargeAs(t, cost.CpuCopyNs(request.size), CcCategory::kDataMovement);
+  if (request.op == NearPmOp::kUndologCreate ||
+      request.op == NearPmOp::kCkpointCreate) {
+    stats_.ChargeAs(t, cost.cpu_metadata_ns, CcCategory::kMetadata);
+  }
+}
 
-  // Split every work item by the destination device; the memory controller
-  // duplicates the command to all devices the operand touches.
+std::vector<std::vector<NdpWorkItem>> Runtime::SplitPerDevice(
+    const std::vector<NdpWorkItem>& work) const {
   const InterleaveMap& il = space_.interleave();
   std::vector<std::vector<NdpWorkItem>> per_dev(devices_.size());
   for (const NdpWorkItem& item : work) {
-    const std::uint64_t len =
-        item.kind == NdpWorkItem::Kind::kCopy ? item.size : item.literal.size();
     for (const DeviceSlice& slice :
-         il.Split(AddrRange{item.dst, item.dst + len})) {
+         il.Split(AddrRange{item.dst, item.dst + item.bytes()})) {
       NdpWorkItem piece;
       piece.kind = item.kind;
       piece.dst = slice.global.begin;
@@ -286,6 +287,54 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
       per_dev[slice.device].push_back(std::move(piece));
     }
   }
+  return per_dev;
+}
+
+SimTime Runtime::Execute(const NearPmRequest& request,
+                         const AddrRange& read_range,
+                         const AddrRange& write_range,
+                         const std::source_location& loc, SimTime earliest,
+                         bool synchronous, bool deferred) {
+  const ThreadId t = request.thread;
+  const std::vector<NdpWorkItem> work = BuildWork(request);
+  // Log deletion stays in the caller's metadata category; every other
+  // command is data movement, on either path.
+  if (request.op != NearPmOp::kCommitLog) {
+    stats_.SetCategory(t, CcCategory::kDataMovement);
+  }
+  if (options_.UsesNdp()) {
+    return IssueNdp(request, read_range, write_range, work, earliest,
+                    synchronous, deferred, analyze::FromStd(loc));
+  }
+  // CPU baseline: the same work items as CPU stores, each persisted.
+  ChargeCpuWork(request);
+  for (const NdpWorkItem& item : work) {
+    if (item.kind == NdpWorkItem::Kind::kCopy) {
+      scratch_.resize(item.size);
+      space_.CpuRead(item.src, scratch_);
+      space_.CpuWrite(item.dst, scratch_);
+    } else {
+      space_.CpuWrite(item.dst, item.literal);
+    }
+    space_.CpuPersist(item.dst, item.bytes());
+  }
+  return stats_.now(t);
+}
+
+SimTime Runtime::IssueNdp(const NearPmRequest& request,
+                          const AddrRange& read_range,
+                          const AddrRange& write_range,
+                          const std::vector<NdpWorkItem>& work,
+                          SimTime earliest, bool synchronous, bool deferred,
+                          const analyze::SourceLoc& loc) {
+  const ThreadId t = request.thread;
+  HarvestSyncs(stats_.now(t));
+  CoherenceWriteback(t, read_range);
+  CoherenceWriteback(t, write_range);
+
+  // The memory controller duplicates the command to every device the
+  // operand touches.
+  const std::vector<std::vector<NdpWorkItem>> per_dev = SplitPerDevice(work);
 
   // Checked at the doorbell, after the write-back guard: any operand line
   // still in the sanitizer's shadow store buffer is an NPM002; commit-class
@@ -382,30 +431,7 @@ Status Runtime::UndologCreate(PoolId pool, ThreadId t, std::uint64_t tx_id,
   ++counters_.undolog_create;
   NearPmRequest req{++seq_counter_, NearPmOp::kUndologCreate, pool, t,
                     old_data,       size,                     slot, tx_id};
-  const auto work = BuildWork(req);
-  if (!options_.UsesNdp()) {
-    // CPU path: metadata generation + persist-copy of the old data.
-    stats_.SetCategory(t, CcCategory::kDataMovement);
-    stats_.ChargeAs(t, options_.hw.cost.CpuCopyNs(size),
-                    CcCategory::kDataMovement);
-    stats_.ChargeAs(t, options_.hw.cost.cpu_metadata_ns, CcCategory::kMetadata);
-    for (const NdpWorkItem& item : work) {
-      if (item.kind == NdpWorkItem::Kind::kCopy) {
-        scratch_.resize(item.size);
-        space_.CpuRead(item.src, scratch_);
-        space_.CpuWrite(item.dst, scratch_);
-        space_.CpuPersist(item.dst, item.size);
-      } else {
-        space_.CpuWrite(item.dst, item.literal);
-        space_.CpuPersist(item.dst, item.literal.size());
-      }
-    }
-    return Status::Ok();
-  }
-  stats_.SetCategory(t, CcCategory::kDataMovement);
-  IssueNdp(req, RangeOf(old_data, size), RangeOf(slot, kSlotSize), work,
-           /*earliest=*/0, /*synchronous=*/false, /*deferred=*/false,
-           analyze::FromStd(loc));
+  Execute(req, RangeOf(old_data, size), RangeOf(slot, kSlotSize), loc);
   return Status::Ok();
 }
 
@@ -419,22 +445,8 @@ Status Runtime::ApplyLog(PoolId pool, ThreadId t, PmAddr slot,
   ++counters_.applylog;
   NearPmRequest req{++seq_counter_, NearPmOp::kApplyLog, pool, t,
                     slot,           size,                target, 0};
-  const auto work = BuildWork(req);
-  if (!options_.UsesNdp()) {
-    stats_.ChargeAs(t, options_.hw.cost.CpuCopyNs(size),
-                    CcCategory::kDataMovement);
-    for (const NdpWorkItem& item : work) {
-      scratch_.resize(item.size);
-      space_.CpuRead(item.src, scratch_);
-      space_.CpuWrite(item.dst, scratch_);
-      space_.CpuPersist(item.dst, item.size);
-    }
-    return Status::Ok();
-  }
-  stats_.SetCategory(t, CcCategory::kDataMovement);
-  IssueNdp(req, RangeOf(CcArea::SlotData(slot), size), RangeOf(target, size),
-           work, /*earliest=*/0, /*synchronous=*/false, /*deferred=*/false,
-           analyze::FromStd(loc));
+  Execute(req, RangeOf(CcArea::SlotData(slot), size), RangeOf(target, size),
+          loc);
   return Status::Ok();
 }
 
@@ -443,17 +455,6 @@ Status Runtime::CommitLog(PoolId pool, ThreadId t,
                           const std::source_location& loc) {
   ++counters_.commit_log;
   stats_.SetCategory(t, CcCategory::kMetadata);
-  if (!options_.UsesNdp()) {
-    for (PmAddr slot : slots) {
-      stats_.ChargeAs(t, options_.hw.cost.cpu_log_delete_ns,
-                      CcCategory::kMetadata);
-      std::vector<std::uint8_t> zero(kSlotHeaderSize, 0);
-      space_.CpuWrite(slot, zero);
-      space_.CpuPersist(slot, kSlotHeaderSize);
-    }
-    return Status::Ok();
-  }
-
   SimTime earliest = 0;
   const bool multi = options_.MultiDevice() && options_.enforce_ppo;
   if (multi && options_.mode == ExecMode::kNdpMultiSwSync) {
@@ -507,13 +508,12 @@ Status Runtime::CommitLog(PoolId pool, ThreadId t,
   }
 
   for (PmAddr slot : slots) {
-    NearPmRequest req{++seq_counter_, NearPmOp::kCommitLog, pool, t,
-                      slot,           kSlotHeaderSize,      0,    0};
     // Log deletion runs on the maintenance path: off the units, off the
     // critical path (Section 5.3.2).
-    IssueNdp(req, AddrRange{}, RangeOf(slot, kSlotHeaderSize), BuildWork(req),
-             earliest, /*synchronous=*/false, /*deferred=*/true,
-             analyze::FromStd(loc));
+    NearPmRequest req{++seq_counter_, NearPmOp::kCommitLog, pool, t,
+                      slot,           kSlotHeaderSize,      0,    0};
+    Execute(req, AddrRange{}, RangeOf(slot, kSlotHeaderSize), loc, earliest,
+            /*synchronous=*/false, /*deferred=*/true);
   }
   return Status::Ok();
 }
@@ -529,28 +529,7 @@ StatusOr<SimTime> Runtime::CkpointCreate(PoolId pool, ThreadId t,
   ++counters_.ckpoint_create;
   NearPmRequest req{++seq_counter_, NearPmOp::kCkpointCreate, pool, t,
                     page,           size,                     slot, epoch};
-  const auto work = BuildWork(req);
-  if (!options_.UsesNdp()) {
-    stats_.ChargeAs(t, options_.hw.cost.CpuCopyNs(size),
-                    CcCategory::kDataMovement);
-    stats_.ChargeAs(t, options_.hw.cost.cpu_metadata_ns, CcCategory::kMetadata);
-    for (const NdpWorkItem& item : work) {
-      if (item.kind == NdpWorkItem::Kind::kCopy) {
-        scratch_.resize(item.size);
-        space_.CpuRead(item.src, scratch_);
-        space_.CpuWrite(item.dst, scratch_);
-        space_.CpuPersist(item.dst, item.size);
-      } else {
-        space_.CpuWrite(item.dst, item.literal);
-        space_.CpuPersist(item.dst, item.literal.size());
-      }
-    }
-    return stats_.now(t);
-  }
-  stats_.SetCategory(t, CcCategory::kDataMovement);
-  return IssueNdp(req, RangeOf(page, size), RangeOf(slot, kSlotSize), work,
-                  /*earliest=*/0, /*synchronous=*/false, /*deferred=*/false,
-                  analyze::FromStd(loc));
+  return Execute(req, RangeOf(page, size), RangeOf(slot, kSlotSize), loc);
 }
 
 Status Runtime::ShadowCpy(PoolId pool, ThreadId t, PmAddr src_page,
@@ -564,22 +543,7 @@ Status Runtime::ShadowCpy(PoolId pool, ThreadId t, PmAddr src_page,
   ++counters_.shadowcpy;
   NearPmRequest req{++seq_counter_, NearPmOp::kShadowCpy, pool, t,
                     src_page,       size,                 dst_page, 0};
-  const auto work = BuildWork(req);
-  if (!options_.UsesNdp()) {
-    stats_.ChargeAs(t, options_.hw.cost.CpuCopyNs(size),
-                    CcCategory::kDataMovement);
-    for (const NdpWorkItem& item : work) {
-      scratch_.resize(item.size);
-      space_.CpuRead(item.src, scratch_);
-      space_.CpuWrite(item.dst, scratch_);
-      space_.CpuPersist(item.dst, item.size);
-    }
-    return Status::Ok();
-  }
-  stats_.SetCategory(t, CcCategory::kDataMovement);
-  IssueNdp(req, RangeOf(src_page, size), RangeOf(dst_page, size), work,
-           /*earliest=*/0, /*synchronous=*/false, /*deferred=*/false,
-           analyze::FromStd(loc));
+  Execute(req, RangeOf(src_page, size), RangeOf(dst_page, size), loc);
   return Status::Ok();
 }
 
@@ -594,21 +558,8 @@ Status Runtime::RawCopy(PoolId pool, ThreadId t, PmAddr src, PmAddr dst,
   ++counters_.raw_copy;
   NearPmRequest req{++seq_counter_, NearPmOp::kRawCopy, pool, t,
                     src,            size,               dst,  0};
-  const auto work = BuildWork(req);
-  if (!options_.UsesNdp()) {
-    stats_.ChargeAs(t, options_.hw.cost.CpuCopyNs(size),
-                    CcCategory::kDataMovement);
-    for (const NdpWorkItem& item : work) {
-      scratch_.resize(item.size);
-      space_.CpuRead(item.src, scratch_);
-      space_.CpuWrite(item.dst, scratch_);
-      space_.CpuPersist(item.dst, item.size);
-    }
-    return Status::Ok();
-  }
-  stats_.SetCategory(t, CcCategory::kDataMovement);
-  IssueNdp(req, RangeOf(src, size), RangeOf(dst, size), work, /*earliest=*/0,
-           wait, /*deferred=*/false, analyze::FromStd(loc));
+  Execute(req, RangeOf(src, size), RangeOf(dst, size), loc, /*earliest=*/0,
+          wait);
   return Status::Ok();
 }
 
@@ -681,7 +632,6 @@ CrashReport Runtime::FinishCrash(CrashReport report, SimTime crash_time) {
     }
     return true;  // durable everywhere, or compacted away after retirement
   };
-  const InterleaveMap& il = space_.interleave();
   // The skip is the fuzzer's planted bug (see RuntimeOptions): recovery
   // forgets the in-flight window entirely.
   const std::vector<RecoveryJournal::Entry> replay_set =
@@ -695,25 +645,10 @@ CrashReport Runtime::FinishCrash(CrashReport report, SimTime crash_time) {
     NEARPM_TRACE_EVENT(trace_, .phase = TracePhase::kRecoveryReplay,
                        .ts = crash_time, .seq = e.request.seq,
                        .arg0 = static_cast<std::uint64_t>(e.request.op));
-    for (const NdpWorkItem& item : BuildWork(e.request)) {
-      const std::uint64_t len = item.kind == NdpWorkItem::Kind::kCopy
-                                    ? item.size
-                                    : item.literal.size();
-      for (const DeviceSlice& slice :
-           il.Split(AddrRange{item.dst, item.dst + len})) {
-        const std::uint64_t offset = slice.global.begin - item.dst;
-        if (item.kind == NdpWorkItem::Kind::kCopy) {
-          scratch_.resize(slice.global.size());
-          space_.NdpRead(item.src + offset, scratch_);
-          space_.NdpWrite(slice.device, e.request.seq, slice.global.begin,
-                          scratch_);
-        } else {
-          space_.NdpWrite(
-              slice.device, e.request.seq, slice.global.begin,
-              std::span<const std::uint8_t>(item.literal)
-                  .subspan(offset, slice.global.size()));
-        }
-      }
+    const std::vector<std::vector<NdpWorkItem>> per_dev =
+        SplitPerDevice(BuildWork(e.request));
+    for (std::size_t d = 0; d < per_dev.size(); ++d) {
+      devices_[d]->Apply(e.request.seq, per_dev[d]);
     }
   }
   // Replayed writes persisted before software recovery starts.

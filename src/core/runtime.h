@@ -199,6 +199,15 @@ class Runtime {
     SimTime done_at = 0;
   };
 
+  // The one path of every Table 2 command: builds its work, then either
+  // charges the CPU baseline's cost and runs the work as CPU stores and
+  // persists, or posts it to the devices (IssueNdp). Returns when the work
+  // is done: the CPU's time after the stores, or the devices' completion.
+  SimTime Execute(const NearPmRequest& request, const AddrRange& read_range,
+                  const AddrRange& write_range,
+                  const std::source_location& loc, SimTime earliest = 0,
+                  bool synchronous = false, bool deferred = false);
+
   // Splits `work` (global addresses) per destination device and issues the
   // command, duplicated across the participating devices. Returns overall
   // completion time. Updates clocks and journal.
@@ -211,6 +220,15 @@ class Runtime {
   // Builds the functional work decomposition of a request (used at issue
   // time and again by hardware recovery replay).
   std::vector<NdpWorkItem> BuildWork(const NearPmRequest& request);
+  // Charges the CPU baseline's cost of the same request: the persist-copy
+  // of its payload plus metadata generation (undo and checkpoint slots), or
+  // the log delete (CommitLog).
+  void ChargeCpuWork(const NearPmRequest& request);
+  // Splits work items per destination device (interleave stripes), in
+  // device order: the memory controller's duplication, used at issue and by
+  // hardware recovery replay.
+  std::vector<std::vector<NdpWorkItem>> SplitPerDevice(
+      const std::vector<NdpWorkItem>& work) const;
 
   // Shared post-failure path: hardware recovery replay, pipeline and clock
   // resets, trace epoch advance.

@@ -1,6 +1,5 @@
 #include "src/hwmodel/hw_config.h"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <vector>
@@ -104,11 +103,13 @@ Status HwConfig::Validate() const {
     return InvalidArgument(
         "hwconfig: pipeline stage widths must be in [0, 1e6] ns");
   }
+  // The bound keeps every simulated duration far below NsToTime's 2^63 ns
+  // range; NaN fails the first comparison.
   for (const CostField& field : kCostFields) {
     const double v = cost.*field.member;
-    if (!std::isfinite(v) || v < 0.0) {
+    if (!(v >= 0.0) || v > 1e6) {
       return InvalidArgument(std::string("hwconfig: cost.") + field.name +
-                             " must be finite and >= 0");
+                             " must be in [0, 1e6]");
     }
   }
   if (cost.ndp_dma_ns_per_byte <= 0.0 || cost.net_link_ns_per_byte <= 0.0) {

@@ -88,9 +88,9 @@ struct HwConfig {
   }
 
   // Range-checks every field (units in [1,64], FIFO in [1,4096], LSQ in
-  // [0,1024], stage widths in [0, 1e6] ns, every cost constant finite and
-  // >= 0, rates > 0). Parsing validates automatically; call this again
-  // after mutating a parsed config by hand (the sweep grid does).
+  // [0,1024], stage widths and every cost constant in [0, 1e6], rates > 0).
+  // Parsing validates automatically; call this again after mutating a
+  // parsed config by hand (the sweep grid does).
   Status Validate() const;
 };
 

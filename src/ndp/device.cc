@@ -132,7 +132,6 @@ NearPmDevice::IssueResult NearPmDevice::Issue(
                      .pid = TraceDevicePid(id_), .tid = kTraceDispatcherTid,
                      .ts = dispatch_time, .arg0 = inflight_.size());
   last_completion_ = std::max(last_completion_, result.completion);
-  stats_.unit_busy_ns += work_ns;
   ++stats_.requests;
   NEARPM_SAN_HOOK(san_,
                   OnDeviceExecute(id_, seq, write_range, result.completion));
@@ -144,19 +143,7 @@ NearPmDevice::IssueResult NearPmDevice::Issue(
   space_->GuardRange(id_, seq, read_range);
   space_->GuardRange(id_, seq, write_range);
   space_->BeginNdpRequest(id_, seq, dispatch_time, result.completion);
-  for (const NdpWorkItem& item : work) {
-    switch (item.kind) {
-      case NdpWorkItem::Kind::kCopy: {
-        copy_buffer_.resize(item.size);
-        space_->NdpRead(item.src, copy_buffer_);
-        space_->NdpWrite(id_, seq, item.dst, copy_buffer_);
-        break;
-      }
-      case NdpWorkItem::Kind::kLiteral:
-        space_->NdpWrite(id_, seq, item.dst, item.literal);
-        break;
-    }
-  }
+  Apply(seq, work);
   return result;
 }
 
@@ -207,13 +194,18 @@ NearPmDevice::IssueResult NearPmDevice::IssueDeferred(
   inflight_.Prune(cpu_now);
   inflight_.Insert(
       InflightTable::Entry{seq, AddrRange{}, write_range, result.completion});
-  stats_.unit_busy_ns += work_ns;
   ++stats_.requests;
   NEARPM_SAN_HOOK(san_, OnDeviceExecute(id_, seq, write_range,
                                         result.completion, /*deferred=*/true));
 
   space_->BeginNdpRequest(id_, seq, result.completion - NsToTime(work_ns),
                           result.completion);
+  Apply(seq, work);
+  return result;
+}
+
+void NearPmDevice::Apply(std::uint64_t seq,
+                         const std::vector<NdpWorkItem>& work) {
   for (const NdpWorkItem& item : work) {
     switch (item.kind) {
       case NdpWorkItem::Kind::kCopy: {
@@ -227,7 +219,6 @@ NearPmDevice::IssueResult NearPmDevice::IssueDeferred(
         break;
     }
   }
-  return result;
 }
 
 void NearPmDevice::HostWritebackAccepted(const AddrRange& range, SimTime now) {

@@ -35,7 +35,6 @@ struct DeviceStats {
   std::uint64_t host_buffered_writebacks = 0;    // clwbs queued behind NDP
   std::uint64_t fifo_backpressure_stalls = 0;
   std::uint64_t lsq_stalls = 0;  // dispatch waited on a full unit LSQ
-  double unit_busy_ns = 0.0;
 };
 
 class NearPmDevice {
@@ -93,6 +92,12 @@ class NearPmDevice {
                             SimTime earliest_start,
                             NearPmOp op = NearPmOp::kCommitLog);
 
+  // Functional execution of one request slice: applies `work` to PmSpace in
+  // order, every write tagged with this device and `seq`. Issue and
+  // IssueDeferred end with it; hardware recovery calls it directly to
+  // re-execute a journalled request.
+  void Apply(std::uint64_t seq, const std::vector<NdpWorkItem>& work);
+
   // Completion time of everything issued to this device so far (used by the
   // multi-device handler to place synchronization points; deferred
   // maintenance work is excluded -- deleting recovery data of an already
@@ -104,7 +109,6 @@ class NearPmDevice {
   }
 
   DeviceId id() const { return id_; }
-  int num_units() const { return pipe_.size(); }
   const DeviceStats& stats() const { return stats_; }
 
   // Attaches (or detaches, with nullptr) the event recorder.

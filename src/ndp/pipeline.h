@@ -65,7 +65,6 @@ class UnitPipeline {
   // Completion (writeback end) of all work scheduled so far.
   SimTime AllIdleAt() const;
 
-  int size() const { return static_cast<int>(units_.size()); }
   bool pipelined() const { return pipelined_; }
   void Reset();
 

@@ -2,24 +2,6 @@
 
 namespace nearpm {
 
-const char* NearPmOpName(NearPmOp op) {
-  switch (op) {
-    case NearPmOp::kUndologCreate:
-      return "undolog_create";
-    case NearPmOp::kApplyLog:
-      return "applylog";
-    case NearPmOp::kCommitLog:
-      return "commit_log";
-    case NearPmOp::kCkpointCreate:
-      return "ckpoint_create";
-    case NearPmOp::kShadowCpy:
-      return "shadowcpy";
-    case NearPmOp::kRawCopy:
-      return "raw_copy";
-  }
-  return "unknown";
-}
-
 double NdpWorkNs(const CostModel& cost, const std::vector<NdpWorkItem>& work) {
   double ns = cost.ndp_setup_ns;
   for (const NdpWorkItem& item : work) {

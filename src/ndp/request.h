@@ -20,8 +20,6 @@ enum class NearPmOp : std::uint8_t {
   kRawCopy,         // generic near-memory data movement (micro-benchmark)
 };
 
-const char* NearPmOpName(NearPmOp op);
-
 // One command as posted on the memory-mapped command path.
 struct NearPmRequest {
   std::uint64_t seq = 0;  // globally unique, assigned by the runtime
@@ -46,6 +44,11 @@ struct NdpWorkItem {
   PmAddr dst = 0;
   std::uint64_t size = 0;               // kCopy only
   std::vector<std::uint8_t> literal;    // kLiteral only
+
+  // Bytes written at `dst`.
+  std::uint64_t bytes() const {
+    return kind == Kind::kCopy ? size : literal.size();
+  }
 };
 
 // Unit busy time for a sequence of work items under `cost`.

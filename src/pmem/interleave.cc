@@ -34,25 +34,10 @@ std::vector<DeviceSlice> InterleaveMap::Split(const AddrRange& range) const {
     out.push_back(DeviceSlice{
         .device = DeviceOf(cur),
         .global = AddrRange{cur, piece_end},
-        .local_offset = LocalOffsetOf(cur),
     });
     cur = piece_end;
   }
   return out;
-}
-
-bool InterleaveMap::Spans(const AddrRange& range) const {
-  if (range.empty() || num_devices_ == 1) {
-    return false;
-  }
-  const DeviceId first = DeviceOf(range.begin);
-  for (PmAddr a = AlignDown(range.begin, stripe_) + stripe_; a < range.end;
-       a += stripe_) {
-    if (DeviceOf(a) != first) {
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace nearpm

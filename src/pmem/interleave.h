@@ -18,8 +18,7 @@ namespace nearpm {
 
 struct DeviceSlice {
   DeviceId device = 0;
-  AddrRange global;       // the piece of the request in global address space
-  PmAddr local_offset = 0;  // device-local physical offset of global.begin
+  AddrRange global;  // the piece of the request in global address space
 };
 
 class InterleaveMap {
@@ -38,9 +37,6 @@ class InterleaveMap {
   // order. Used by the memory-controller model to duplicate a NearPM command
   // to every device the operand touches.
   std::vector<DeviceSlice> Split(const AddrRange& range) const;
-
-  // True if the range maps to more than one device.
-  bool Spans(const AddrRange& range) const;
 
  private:
   int num_devices_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <new>
 
 #include "src/analyze/sanitizer.h"
 
@@ -14,26 +13,12 @@ namespace {
 // execution window on the device timeline.
 enum class ReqState { kDropped, kPartial, kDurable };
 
-// Zeroed media that the host never writes until the model does. calloc
-// serves requests above glibc's mmap threshold (at most 32 MB) from fresh
-// anonymous mappings, which the kernel zero-fills page by page on first
-// touch: a 512 MB space costs O(1) to build and its resident size follows
-// the PM actually touched. A smaller request may come from the heap, where
-// calloc may clear it eagerly.
-std::uint8_t* AllocateZeroedMedia(std::uint64_t size) {
-  void* media = std::calloc(std::max<std::uint64_t>(size, 1), 1);
-  if (media == nullptr) {
-    throw std::bad_alloc();
-  }
-  return static_cast<std::uint8_t*>(media);
-}
-
 }  // namespace
 
 PmSpace::PmSpace(const PmSpaceOptions& options)
     : options_(options),
       interleave_(options.num_devices, options.stripe),
-      current_(AllocateZeroedMedia(options.size)),
+      current_(MapZeroedArray<std::uint8_t>(options.size)),
       size_(options.size),
       device_logs_(static_cast<size_t>(options.num_devices)) {}
 

@@ -36,7 +36,6 @@
 #define SRC_PMEM_PM_SPACE_H_
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -44,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/pages.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/pmem/interleave.h"
@@ -234,13 +234,10 @@ class PmSpace {
   void RetireRecord(DeviceLog& log, RequestRecord& rec);
   void CompactLogs();
 
-  struct FreeMedia {
-    void operator()(std::uint8_t* p) const { std::free(p); }
-  };
-
   PmSpaceOptions options_;
   InterleaveMap interleave_;
-  std::unique_ptr<std::uint8_t[], FreeMedia> current_;
+  // Lazily backed: the resident size follows the PM actually touched.
+  ZeroedPages<std::uint8_t> current_;
   std::uint64_t size_ = 0;
   // line base address -> durable pre-image of the 64-byte line
   std::unordered_map<PmAddr, std::vector<std::uint8_t>> pending_;

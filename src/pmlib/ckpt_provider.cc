@@ -136,35 +136,16 @@ Status CheckpointProvider::RecoverThread(ThreadId t) {
   Runtime& rt = pool_->rt();
   const CcArea area = pool_->cc_area(t);
   const TxRecord rec = rt.Load<TxRecord>(t, area.TxRecordAddr());
-  const std::uint64_t open_epoch = rec.committed_epoch + 1;
-
-  std::vector<std::uint8_t> payload;
-  for (std::size_t i = 0; i < kCkptSlots; ++i) {
-    const PmAddr slot = area.CkptSlotAddr(i);
-    const SlotHeader header = rt.Load<SlotHeader>(t, slot);
-    if (header.magic != kCkptMagic) {
-      continue;
-    }
-    bool valid = header.size > 0 && header.size <= kMaxLogData;
-    if (valid) {
-      payload.resize(header.size);
-      rt.Read(t, CcArea::SlotData(slot), payload);
-      valid = Checksum64(payload) == header.checksum;
-    }
-    // Only pre-images of the open (uncommitted) epoch roll back. A slot with
-    // an invalid checksum means its page was never modified afterwards (the
-    // copy is ordered before the first update), so skipping it is safe.
-    // skip_recovery_replay: fault injection -- scrub without restoring.
-    if (valid && header.tag == open_epoch &&
-        !rt.options().skip_recovery_replay) {
-      rt.Write(t, header.target, payload);
-      rt.Persist(t, header.target, header.size);
-      ++pages_restored_;
-    }
-    const SlotHeader zero;
-    rt.Store(t, slot, zero);
-    rt.Persist(t, slot, sizeof(zero));
-  }
+  // Only pre-images of the open (uncommitted) epoch roll back. A slot with
+  // an invalid checksum means its page was never modified afterwards (the
+  // copy is ordered before the first update), so skipping it is safe.
+  // skip_recovery_replay: fault injection -- scrub without restoring.
+  const std::optional<std::uint64_t> open_epoch =
+      rt.options().skip_recovery_replay
+          ? std::nullopt
+          : std::optional(rec.committed_epoch + 1);
+  pages_restored_ += pool_->RecoverSlots(t, area.CkptSlotAddr(0), kCkptSlots,
+                                         kCkptMagic, open_epoch);
   return Status::Ok();
 }
 

@@ -13,7 +13,9 @@
 #ifndef SRC_PMLIB_POOL_H_
 #define SRC_PMLIB_POOL_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -57,6 +59,20 @@ class PmPool {
   PmAddr page_table() const;
   // Per-thread crash-consistency area.
   CcArea cc_area(ThreadId t) const;
+
+  // Stores thread `t`'s transaction record (state, tx id) and persists it.
+  void WriteTxRecord(ThreadId t, TxState state, std::uint64_t tx_id) const;
+
+  // The software recovery scan of one thread's undo, redo or checkpoint
+  // log: visits the `count` slots from `first` (newest first when
+  // `newest_first`). A slot whose header carries `magic` is restored onto
+  // its target when its size is in (0, kMaxLogData], its payload matches
+  // its checksum and its tag equals `restore_tag`, and is scrubbed either
+  // way. Returns the number of slots restored.
+  std::size_t RecoverSlots(ThreadId t, PmAddr first, std::size_t count,
+                           std::uint64_t magic,
+                           std::optional<std::uint64_t> restore_tag,
+                           bool newest_first = false) const;
 
  private:
   PmPool(Runtime* rt, PmAddr base, PoolId id, const PoolLayoutOptions& opts)

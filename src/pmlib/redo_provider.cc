@@ -21,13 +21,7 @@ Status RedoLogProvider::BeginOp(ThreadId t) {
   ts.redirects.clear();
   NEARPM_TRACE_EVENT(rt.trace(), .phase = TracePhase::kOpBegin, .tid = t,
                      .ts = rt.Now(t), .seq = ts.tx_id);
-
-  TxRecord rec;
-  rec.state = static_cast<std::uint64_t>(TxState::kActive);
-  rec.tx_id = ts.tx_id;
-  const PmAddr rec_addr = pool_->cc_area(t).TxRecordAddr();
-  rt.Store(t, rec_addr, rec);
-  rt.Persist(t, rec_addr, sizeof(rec));
+  pool_->WriteTxRecord(t, TxState::kActive, ts.tx_id);
   return Status::Ok();
 }
 
@@ -101,12 +95,7 @@ StatusOr<bool> RedoLogProvider::CommitOp(ThreadId t,
     rt.Persist(t, r.slot, kSlotHeaderSize + header.size);
   }
   // 2. Commit marker.
-  const PmAddr rec_addr = pool_->cc_area(t).TxRecordAddr();
-  TxRecord rec;
-  rec.state = static_cast<std::uint64_t>(TxState::kCommitted);
-  rec.tx_id = ts.tx_id;
-  rt.Store(t, rec_addr, rec);
-  rt.Persist(t, rec_addr, sizeof(rec));
+  pool_->WriteTxRecord(t, TxState::kCommitted, ts.tx_id);
   // 3. Apply the log near memory.
   rt.stats().SetCategory(t, CcCategory::kDataMovement);
   for (const Redirect& r : ts.redirects) {
@@ -140,38 +129,15 @@ Status RedoLogProvider::RecoverThread(ThreadId t) {
   Runtime& rt = pool_->rt();
   const CcArea area = pool_->cc_area(t);
   const TxRecord rec = rt.Load<TxRecord>(t, area.TxRecordAddr());
-  // skip_recovery_replay: fault injection -- scrub without reapplying.
+  // Reapply a committed transaction's log; skip_recovery_replay: fault
+  // injection -- scrub without reapplying.
   const bool reapply =
       rec.state == static_cast<std::uint64_t>(TxState::kCommitted) &&
       !rt.options().skip_recovery_replay;
-
-  std::vector<std::uint8_t> payload;
-  for (std::size_t i = 0; i < kLogSlots; ++i) {
-    const PmAddr slot = area.RedoSlotAddr(i);
-    const SlotHeader header = rt.Load<SlotHeader>(t, slot);
-    if (header.magic != kRedoMagic) {
-      continue;
-    }
-    bool valid = header.size > 0 && header.size <= kMaxLogData;
-    if (valid) {
-      payload.resize(header.size);
-      rt.Read(t, CcArea::SlotData(slot), payload);
-      valid = Checksum64(payload) == header.checksum;
-    }
-    if (reapply && valid && header.tag == rec.tx_id) {
-      rt.Write(t, header.target, payload);
-      rt.Persist(t, header.target, header.size);
-      ++reapplied_;
-    }
-    const SlotHeader zero;
-    rt.Store(t, slot, zero);
-    rt.Persist(t, slot, sizeof(zero));
-  }
-
-  TxRecord idle;
-  idle.state = static_cast<std::uint64_t>(TxState::kIdle);
-  rt.Store(t, area.TxRecordAddr(), idle);
-  rt.Persist(t, area.TxRecordAddr(), sizeof(idle));
+  reapplied_ += pool_->RecoverSlots(
+      t, area.RedoSlotAddr(0), kLogSlots, kRedoMagic,
+      reapply ? std::optional(rec.tx_id) : std::nullopt);
+  pool_->WriteTxRecord(t, TxState::kIdle, 0);
   return Status::Ok();
 }
 

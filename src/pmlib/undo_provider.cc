@@ -42,13 +42,7 @@ Status UndoLogProvider::BeginOp(ThreadId t) {
   ts.logged.clear();
   NEARPM_TRACE_EVENT(rt.trace(), .phase = TracePhase::kOpBegin, .tid = t,
                      .ts = rt.Now(t), .seq = ts.tx_id);
-
-  TxRecord rec;
-  rec.state = static_cast<std::uint64_t>(TxState::kActive);
-  rec.tx_id = ts.tx_id;
-  const PmAddr rec_addr = pool_->cc_area(t).TxRecordAddr();
-  rt.Store(t, rec_addr, rec);
-  rt.Persist(t, rec_addr, sizeof(rec));
+  pool_->WriteTxRecord(t, TxState::kActive, ts.tx_id);
   return Status::Ok();
 }
 
@@ -98,12 +92,7 @@ StatusOr<bool> UndoLogProvider::CommitOp(ThreadId t,
   }
   // 2. Commit marker.
   rt.stats().SetCategory(t, CcCategory::kMetadata);
-  const PmAddr rec_addr = pool_->cc_area(t).TxRecordAddr();
-  TxRecord rec;
-  rec.state = static_cast<std::uint64_t>(TxState::kCommitted);
-  rec.tx_id = ts.tx_id;
-  rt.Store(t, rec_addr, rec);
-  rt.Persist(t, rec_addr, sizeof(rec));
+  pool_->WriteTxRecord(t, TxState::kCommitted, ts.tx_id);
   // 3. Delete the logs (off the critical path under delayed sync).
   std::vector<PmAddr> slots;
   slots.reserve(ts.used_slots);
@@ -126,46 +115,19 @@ Status UndoLogProvider::RecoverThread(ThreadId t) {
   Runtime& rt = pool_->rt();
   const CcArea area = pool_->cc_area(t);
   const TxRecord rec = rt.Load<TxRecord>(t, area.TxRecordAddr());
-  // skip_recovery_replay is the fuzzer's fault injection: scrub the journal
-  // without replaying it, as a recovery that forgot the frontier would.
+  // Roll back the interrupted transaction's slots; skip_recovery_replay is
+  // the fuzzer's fault injection: scrub the journal without replaying it, as
+  // a recovery that forgot the frontier would.
   const bool rollback =
       rec.state == static_cast<std::uint64_t>(TxState::kActive) &&
       !rt.options().skip_recovery_replay;
-
-  // Walk the slots newest-first so overlapping snapshots restore the oldest
-  // pre-image last.
-  std::vector<std::uint8_t> payload;
-  bool rolled_any = false;
-  for (std::size_t i = kLogSlots; i > 0; --i) {
-    const PmAddr slot = area.UndoSlotAddr(i - 1);
-    const SlotHeader header = rt.Load<SlotHeader>(t, slot);
-    if (header.magic != kUndoMagic) {
-      continue;
-    }
-    bool valid = header.size > 0 && header.size <= kMaxLogData;
-    if (valid) {
-      payload.resize(header.size);
-      rt.Read(t, CcArea::SlotData(slot), payload);
-      valid = Checksum64(payload) == header.checksum;
-    }
-    if (rollback && valid && header.tag == rec.tx_id) {
-      rt.Write(t, header.target, payload);
-      rt.Persist(t, header.target, header.size);
-      rolled_any = true;
-    }
-    // Scrub the slot either way: it belongs to a finished or rolled-back tx.
-    const SlotHeader zero;
-    rt.Store(t, slot, zero);
-    rt.Persist(t, slot, sizeof(zero));
-  }
-  if (rolled_any) {
+  // Newest first, so overlapping snapshots restore the oldest pre-image last.
+  if (pool_->RecoverSlots(t, area.UndoSlotAddr(0), kLogSlots, kUndoMagic,
+                          rollback ? std::optional(rec.tx_id) : std::nullopt,
+                          /*newest_first=*/true) > 0) {
     ++rollbacks_;
   }
-
-  TxRecord idle;
-  idle.state = static_cast<std::uint64_t>(TxState::kIdle);
-  rt.Store(t, area.TxRecordAddr(), idle);
-  rt.Persist(t, area.TxRecordAddr(), sizeof(idle));
+  pool_->WriteTxRecord(t, TxState::kIdle, 0);
   return Status::Ok();
 }
 

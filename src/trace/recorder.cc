@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <new>
 
 namespace nearpm {
 
@@ -120,13 +119,9 @@ TraceEvent Unpack(const Fields& w, std::uint64_t order) {
 }  // namespace
 
 TraceRecorder::TraceRecorder(const TraceRecorderOptions& options)
-    : capacity_(options.ring_capacity == 0 ? 1 : options.ring_capacity) {
+    : capacity_(options.ring_capacity == 0 ? 1 : options.ring_capacity),
+      slots_(MapZeroedArray<std::uint64_t>(capacity_ * kSlotWords)) {
   static_assert(std::tuple_size_v<Fields> + 1 == kSlotWords);
-  void* slots = std::malloc(capacity_ * kSlotWords * sizeof(std::uint64_t));
-  if (slots == nullptr) {
-    throw std::bad_alloc();
-  }
-  slots_.reset(static_cast<std::uint64_t*>(slots));
 }
 
 void TraceRecorder::Record(TraceEvent event) {

@@ -36,11 +36,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/pages.h"
 #include "src/trace/metrics.h"
 #include "src/trace/trace_event.h"
 
@@ -115,10 +114,6 @@ class TraceRecorder {
   static constexpr std::size_t kPhaseCount =
       static_cast<std::size_t>(TracePhase::kCount);
 
-  struct FreeSlots {
-    void operator()(std::uint64_t* p) const { std::free(p); }
-  };
-
   // The kSlotWords words that hold the event of `order`.
   std::uint64_t* Slot(std::uint64_t order) const {
     return slots_.get() + (order % capacity_) * kSlotWords;
@@ -133,11 +128,9 @@ class TraceRecorder {
   static constexpr std::size_t kSlotWords = 13;
 
   std::size_t capacity_;
-  // Allocated once and never grown, copied or cleared: a reader only
-  // visits slots whose order is published, so the storage needs no
-  // zero-fill, and malloc leaves the pages of a ring this size untouched
-  // until events land in them.
-  std::unique_ptr<std::uint64_t[], FreeSlots> slots_;
+  // Allocated once and never grown, copied or cleared; lazily backed, so
+  // a page of the ring becomes resident when the first event lands in it.
+  ZeroedPages<std::uint64_t> slots_;
   std::atomic<std::uint64_t> recorded_{0};
   bool enabled_ = true;
   std::uint32_t epoch_ = 0;

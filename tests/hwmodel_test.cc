@@ -142,6 +142,15 @@ TEST(HwConfigTest, ValidateCatchesHandMutatedConfigs) {
   hw.units_per_device = 4;
   hw.cost.ndp_dma_ns_per_byte = 0.0;  // rate constants must stay > 0
   EXPECT_FALSE(hw.Validate().ok());
+  // A 1e-300 GB/s link: each byte would take longer than the sim clock's
+  // whole range.
+  hw.cost.ndp_dma_ns_per_byte = 1e300;
+  const Status st = hw.Validate();
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("ndp_dma_ns_per_byte"), std::string::npos)
+      << st.message();
+  hw.cost.ndp_dma_ns_per_byte = 1e6;  // the bound itself is a geometry
+  EXPECT_TRUE(hw.Validate().ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -67,15 +67,6 @@ TEST(InterleaveTest, SplitAcrossStripes) {
   EXPECT_EQ(slices[2].global, (AddrRange{8192, 8300}));
 }
 
-TEST(InterleaveTest, SpansDetection) {
-  InterleaveMap il(2, 4096);
-  EXPECT_FALSE(il.Spans({0, 4096}));
-  EXPECT_TRUE(il.Spans({0, 4097}));
-  EXPECT_TRUE(il.Spans({4000, 4200}));
-  InterleaveMap single(1, 4096);
-  EXPECT_FALSE(single.Spans({0, 1 << 20}));
-}
-
 TEST(InterleaveTest, SplitCoversRangeExactly) {
   InterleaveMap il(3, 256);
   const AddrRange range{100, 5000};
@@ -208,6 +199,24 @@ TEST(PmSpaceTest, LargeSpaceIsBackedLazily) {
   EXPECT_EQ(report.cpu_lines_dropped, 1u);
   space.CpuRead(last, out);
   EXPECT_EQ(out, zeros);
+}
+
+// A serving node's 16 MB space stays lazy whatever the process allocated
+// before. With calloc, dropping the 24 MB space raised glibc's mmap
+// threshold past 16 MB, so the next 16 MB space came from the heap, and
+// the one after it was cleared page by page on the heap that one had held:
+// the whole 16 MB became resident.
+TEST(PmSpaceTest, SpaceBelowTheMmapThresholdIsBackedLazily) {
+  PmSpaceOptions o;
+  o.size = 16ull << 20;
+  PmSpaceOptions larger = o;
+  larger.size = 24ull << 20;
+  { PmSpace dropped(larger); }
+  { PmSpace dropped(o); }
+  const std::int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0) << "could not read /proc/self/statm";
+  PmSpace space(o);
+  EXPECT_LT(ResidentBytes() - before, static_cast<std::int64_t>(o.size / 4));
 }
 
 // ---- PmSpace: NDP requests --------------------------------------------------

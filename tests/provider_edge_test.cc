@@ -1,13 +1,15 @@
 // Edge-case behaviour of the crash-consistency providers: resource
 // exhaustion, epoch boundaries, redirect corner cases, switch-record
-// atomicity, pool layout arithmetic.
+// atomicity, pool layout arithmetic, the shared slot recovery scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -329,6 +331,106 @@ TEST(CkptEdgeTest, PageCheckpointedOncePerEpoch) {
   }
   EXPECT_EQ(rt.counters().ckpoint_create - before, 1u);
 }
+
+// ---- Slot recovery scan (undo, redo, checkpoint) ----------------------------
+
+// The three slot logs recover through one scan. Each case plants a
+// transaction record whose open tag is 7 and five slots behind it, each
+// restoring 64 bytes onto its own line of the data window, then runs
+// Recover() and checks the PM image and the provider's counter.
+struct SlotLogCase {
+  const char* name;
+  Mechanism mechanism;
+  std::uint64_t magic;
+  TxState open_state;  // checkpointing reads committed_epoch instead
+  PmAddr (CcArea::*slot)(std::size_t) const;
+  std::uint64_t (*restored)(ConsistencyProvider&);
+};
+
+void PrintTo(const SlotLogCase& c, std::ostream* os) { *os << c.name; }
+
+std::uint64_t Rollbacks(ConsistencyProvider& p) {
+  return static_cast<UndoLogProvider&>(p).rollbacks();
+}
+std::uint64_t Reapplied(ConsistencyProvider& p) {
+  return static_cast<RedoLogProvider&>(p).reapplied();
+}
+std::uint64_t PagesRestored(ConsistencyProvider& p) {
+  return static_cast<CheckpointProvider&>(p).pages_restored();
+}
+
+class SlotScanTest : public ::testing::TestWithParam<SlotLogCase> {};
+
+TEST_P(SlotScanTest, RestoresValidSlotsOfTheOpenTagAndScrubsEverySlot) {
+  const SlotLogCase& c = GetParam();
+  Runtime rt(Opts(ExecMode::kCpuBaseline));
+  PoolArena arena;
+  auto heap = MakeHeap(rt, arena, c.mechanism);
+  const CcArea area = heap->pool().cc_area(0);
+
+  // Open: an ACTIVE undo transaction, a COMMITTED redo transaction, or the
+  // epoch after the last committed checkpoint.
+  constexpr std::uint64_t kOpen = 7;
+  TxRecord rec;
+  rec.state = static_cast<std::uint64_t>(c.open_state);
+  rec.tx_id = kOpen;
+  rec.committed_epoch = kOpen - 1;
+  rt.Store(0, area.TxRecordAddr(), rec);
+  rt.Persist(0, area.TxRecordAddr(), sizeof(rec));
+
+  constexpr std::size_t kSlots = 5;
+  const std::vector<std::uint8_t> current(64, 0xee);
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    const PmAddr target = heap->root() + i * 64;
+    rt.Write(0, target, current);
+    rt.Persist(0, target, current.size());
+    const auto fill = static_cast<std::uint8_t>(i + 1);
+    const std::vector<std::uint8_t> payload(64, fill);
+    SlotHeader header;
+    header.magic = c.magic;
+    header.tag = kOpen;
+    header.target = target;
+    header.size = payload.size();
+    header.checksum = Checksum64(payload);
+    if (i == 1) {
+      header.tag = kOpen + 1;  // another transaction or epoch
+    } else if (i == 2) {
+      header.checksum ^= 1;  // a torn payload
+    } else if (i == 3) {
+      header.size = 0;
+    } else if (i == 4) {
+      header.size = kMaxLogData + 1;
+    }
+    const PmAddr slot = (area.*c.slot)(i);
+    rt.Write(0, CcArea::SlotData(slot), payload);
+    rt.Store(0, slot, header);
+    rt.Persist(0, slot, kSlotHeaderSize + payload.size());
+  }
+
+  ASSERT_TRUE(heap->provider().Recover().ok());
+  for (std::size_t i = 0; i < kSlots; ++i) {
+    std::vector<std::uint8_t> got(64);
+    rt.Read(0, heap->root() + i * 64, got);
+    const std::uint8_t want = i == 0 ? 1 : 0xee;  // only slot 0 restores
+    EXPECT_EQ(got, std::vector<std::uint8_t>(64, want)) << "slot " << i;
+    const SlotHeader header = rt.Load<SlotHeader>(0, (area.*c.slot)(i));
+    EXPECT_EQ(header.magic, 0u) << "slot " << i << " not scrubbed";
+  }
+  EXPECT_EQ(c.restored(heap->provider()), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ThreeLogs, SlotScanTest,
+    ::testing::Values(
+        SlotLogCase{"undo", Mechanism::kLogging, kUndoMagic, TxState::kActive,
+                    &CcArea::UndoSlotAddr, &Rollbacks},
+        SlotLogCase{"redo", Mechanism::kRedoLogging, kRedoMagic,
+                    TxState::kCommitted, &CcArea::RedoSlotAddr, &Reapplied},
+        SlotLogCase{"checkpoint", Mechanism::kCheckpointing, kCkptMagic,
+                    TxState::kIdle, &CcArea::CkptSlotAddr, &PagesRestored}),
+    [](const ::testing::TestParamInfo<SlotLogCase>& param) {
+      return std::string(param.param.name);
+    });
 
 // ---- Shadow provider -------------------------------------------------------------
 
