@@ -45,10 +45,26 @@ Histogram& Histogram::operator=(const Histogram& other) {
   return *this;
 }
 
-void Histogram::Add(std::uint64_t value) {
+int Histogram::BucketOf(std::uint64_t value) {
   const int bucket = value == 0 ? 0 : std::bit_width(value);
-  buckets_[bucket >= kBuckets ? kBuckets - 1 : bucket].fetch_add(
-      1, std::memory_order_relaxed);
+  return bucket >= kBuckets ? kBuckets - 1 : bucket;
+}
+
+Histogram Histogram::FromBuckets(
+    std::span<const std::uint64_t, kBuckets> counts, std::uint64_t sum) {
+  Histogram h;
+  std::uint64_t total = 0;
+  for (int i = 0; i < kBuckets; ++i) {
+    h.buckets_[i].store(counts[i], std::memory_order_relaxed);
+    total += counts[i];
+  }
+  h.total_.store(total, std::memory_order_relaxed);
+  h.sum_.store(sum, std::memory_order_relaxed);
+  return h;
+}
+
+void Histogram::Add(std::uint64_t value) {
+  buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
   total_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
 }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,13 @@ class Histogram {
   std::string ToString() const;
 
   static constexpr int kBuckets = 64;
+  // The bucket Add() counts `value` in.
+  static int BucketOf(std::uint64_t value);
+  // The histogram of a population counted elsewhere, e.g. by a single
+  // writer in plain counters: counts[i] values in bucket i (as BucketOf
+  // places them), summing to `sum`.
+  static Histogram FromBuckets(
+      std::span<const std::uint64_t, kBuckets> counts, std::uint64_t sum);
   // Population of bucket i (0 holds exactly v == 0; i > 0 covers
   // [2^(i-1), 2^i - 1]) -- for exporters that serialize the distribution.
   std::uint64_t bucket(int i) const {

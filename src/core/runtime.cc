@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "src/sim/timeline.h"
 
@@ -45,7 +46,8 @@ Runtime::Runtime(const RuntimeOptions& options)
     : options_(options),
       space_(SpaceOptionsFor(options)),
       addr_map_(&space_.interleave()),
-      stats_(options.max_threads) {
+      stats_(options.max_threads),
+      per_dev_(static_cast<std::size_t>(options.EffectiveDevices())) {
   const int devices = options_.EffectiveDevices();
   for (int d = 0; d < devices; ++d) {
     devices_.push_back(std::make_unique<NearPmDevice>(
@@ -200,15 +202,16 @@ void Runtime::Compute(ThreadId t, double ns) { stats_.Charge(t, ns); }
 
 // ---- NDP issue machinery ----------------------------------------------------
 
-std::vector<NdpWorkItem> Runtime::BuildWork(const NearPmRequest& request) {
-  std::vector<NdpWorkItem> work;
+const std::vector<NdpWorkItem>& Runtime::BuildWork(
+    const NearPmRequest& request) {
+  work_.clear();
   switch (request.op) {
     case NearPmOp::kUndologCreate:
     case NearPmOp::kCkpointCreate: {
       // Payload copy first, validity header last.
-      work.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy, request.addr,
-                                 CcArea::SlotData(request.dst), request.size,
-                                 {}});
+      work_.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy, request.addr,
+                                  CcArea::SlotData(request.dst), request.size,
+                                  {}});
       scratch_.resize(request.size);
       space_.NdpRead(request.addr, scratch_);
       SlotHeader header;
@@ -218,36 +221,36 @@ std::vector<NdpWorkItem> Runtime::BuildWork(const NearPmRequest& request) {
       header.target = request.addr;
       header.size = request.size;
       header.checksum = Checksum64(scratch_);
-      NdpWorkItem lit;
+      static_assert(sizeof(header) <= NdpWorkItem::kMaxLiteral);
+      NdpWorkItem& lit = work_.emplace_back();
       lit.kind = NdpWorkItem::Kind::kLiteral;
       lit.dst = request.dst;
-      const auto bytes = AsBytes(header);
-      lit.literal.assign(bytes.begin(), bytes.end());
-      work.push_back(std::move(lit));
+      lit.size = sizeof(header);
+      std::memcpy(lit.literal.data(), &header, sizeof(header));
       break;
     }
     case NearPmOp::kApplyLog:
-      work.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy,
-                                 CcArea::SlotData(request.addr), request.dst,
-                                 request.size,
-                                 {}});
+      work_.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy,
+                                  CcArea::SlotData(request.addr), request.dst,
+                                  request.size,
+                                  {}});
       break;
     case NearPmOp::kCommitLog: {
-      NdpWorkItem lit;
+      static_assert(kSlotHeaderSize <= NdpWorkItem::kMaxLiteral);
+      NdpWorkItem& lit = work_.emplace_back();  // a zeroed header
       lit.kind = NdpWorkItem::Kind::kLiteral;
       lit.dst = request.addr;
-      lit.literal.assign(kSlotHeaderSize, 0);
-      work.push_back(std::move(lit));
+      lit.size = kSlotHeaderSize;
       break;
     }
     case NearPmOp::kShadowCpy:
     case NearPmOp::kRawCopy:
-      work.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy, request.addr,
-                                 request.dst, request.size,
-                                 {}});
+      work_.push_back(NdpWorkItem{NdpWorkItem::Kind::kCopy, request.addr,
+                                  request.dst, request.size,
+                                  {}});
       break;
   }
-  return work;
+  return work_;
 }
 
 void Runtime::ChargeCpuWork(const NearPmRequest& request) {
@@ -264,30 +267,30 @@ void Runtime::ChargeCpuWork(const NearPmRequest& request) {
   }
 }
 
-std::vector<std::vector<NdpWorkItem>> Runtime::SplitPerDevice(
-    const std::vector<NdpWorkItem>& work) const {
+const std::vector<std::vector<NdpWorkItem>>& Runtime::SplitPerDevice(
+    const std::vector<NdpWorkItem>& work) {
   const InterleaveMap& il = space_.interleave();
-  std::vector<std::vector<NdpWorkItem>> per_dev(devices_.size());
+  for (std::vector<NdpWorkItem>& dev_work : per_dev_) {
+    dev_work.clear();
+  }
   for (const NdpWorkItem& item : work) {
-    for (const DeviceSlice& slice :
-         il.Split(AddrRange{item.dst, item.dst + item.bytes()})) {
-      NdpWorkItem piece;
+    slices_.clear();
+    il.Split(AddrRange{item.dst, item.dst + item.size}, &slices_);
+    for (const DeviceSlice& slice : slices_) {
+      NdpWorkItem& piece = per_dev_[slice.device].emplace_back();
       piece.kind = item.kind;
       piece.dst = slice.global.begin;
+      piece.size = slice.global.size();
       const std::uint64_t offset = slice.global.begin - item.dst;
       if (item.kind == NdpWorkItem::Kind::kCopy) {
         piece.src = item.src + offset;
-        piece.size = slice.global.size();
       } else {
-        piece.literal.assign(
-            item.literal.begin() + static_cast<std::ptrdiff_t>(offset),
-            item.literal.begin() +
-                static_cast<std::ptrdiff_t>(offset + slice.global.size()));
+        std::memcpy(piece.literal.data(), item.literal.data() + offset,
+                    piece.size);
       }
-      per_dev[slice.device].push_back(std::move(piece));
     }
   }
-  return per_dev;
+  return per_dev_;
 }
 
 SimTime Runtime::Execute(const NearPmRequest& request,
@@ -296,7 +299,7 @@ SimTime Runtime::Execute(const NearPmRequest& request,
                          const std::source_location& loc, SimTime earliest,
                          bool synchronous, bool deferred) {
   const ThreadId t = request.thread;
-  const std::vector<NdpWorkItem> work = BuildWork(request);
+  const std::vector<NdpWorkItem>& work = BuildWork(request);
   // Log deletion stays in the caller's metadata category; every other
   // command is data movement, on either path.
   if (request.op != NearPmOp::kCommitLog) {
@@ -314,9 +317,9 @@ SimTime Runtime::Execute(const NearPmRequest& request,
       space_.CpuRead(item.src, scratch_);
       space_.CpuWrite(item.dst, scratch_);
     } else {
-      space_.CpuWrite(item.dst, item.literal);
+      space_.CpuWrite(item.dst, item.literal_bytes());
     }
-    space_.CpuPersist(item.dst, item.bytes());
+    space_.CpuPersist(item.dst, item.size);
   }
   return stats_.now(t);
 }
@@ -334,7 +337,7 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
 
   // The memory controller duplicates the command to every device the
   // operand touches.
-  const std::vector<std::vector<NdpWorkItem>> per_dev = SplitPerDevice(work);
+  const std::vector<std::vector<NdpWorkItem>>& per_dev = SplitPerDevice(work);
 
   // Checked at the doorbell, after the write-back guard: any operand line
   // still in the sanitizer's shadow store buffer is an NPM002; commit-class
@@ -358,7 +361,6 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
   SimTime cpu_now = post_time;
   SimTime completion = 0;
   int participants = 0;
-  std::vector<DeviceId> touched;
   for (std::size_t d = 0; d < devices_.size(); ++d) {
     if (per_dev[d].empty()) {
       continue;
@@ -373,7 +375,6 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
     cpu_now = std::max(cpu_now, res.cpu_release);
     completion = std::max(completion, res.completion);
     ++participants;
-    touched.push_back(static_cast<DeviceId>(d));
   }
   assert(participants > 0);
   if (participants > 1) {
@@ -393,8 +394,10 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
 
   if (synchronous) {
     stats_.StallUntil(t, completion);
-    for (DeviceId d : touched) {
-      space_.RetireRequest(d, request.seq);
+    for (std::size_t d = 0; d < per_dev.size(); ++d) {
+      if (!per_dev[d].empty()) {
+        space_.RetireRequest(static_cast<DeviceId>(d), request.seq);
+      }
     }
     journal_.Remove(request.seq);
   }
@@ -645,7 +648,7 @@ CrashReport Runtime::FinishCrash(CrashReport report, SimTime crash_time) {
     NEARPM_TRACE_EVENT(trace_, .phase = TracePhase::kRecoveryReplay,
                        .ts = crash_time, .seq = e.request.seq,
                        .arg0 = static_cast<std::uint64_t>(e.request.op));
-    const std::vector<std::vector<NdpWorkItem>> per_dev =
+    const std::vector<std::vector<NdpWorkItem>>& per_dev =
         SplitPerDevice(BuildWork(e.request));
     for (std::size_t d = 0; d < per_dev.size(); ++d) {
       devices_[d]->Apply(e.request.seq, per_dev[d]);

@@ -218,17 +218,19 @@ class Runtime {
                    const analyze::SourceLoc& loc = {});
 
   // Builds the functional work decomposition of a request (used at issue
-  // time and again by hardware recovery replay).
-  std::vector<NdpWorkItem> BuildWork(const NearPmRequest& request);
+  // time and again by hardware recovery replay) into work_, which the
+  // result refers to until the next call.
+  const std::vector<NdpWorkItem>& BuildWork(const NearPmRequest& request);
   // Charges the CPU baseline's cost of the same request: the persist-copy
   // of its payload plus metadata generation (undo and checkpoint slots), or
   // the log delete (CommitLog).
   void ChargeCpuWork(const NearPmRequest& request);
   // Splits work items per destination device (interleave stripes), in
   // device order: the memory controller's duplication, used at issue and by
-  // hardware recovery replay.
-  std::vector<std::vector<NdpWorkItem>> SplitPerDevice(
-      const std::vector<NdpWorkItem>& work) const;
+  // hardware recovery replay. Fills per_dev_, which the result refers to
+  // until the next call.
+  const std::vector<std::vector<NdpWorkItem>>& SplitPerDevice(
+      const std::vector<NdpWorkItem>& work);
 
   // Shared post-failure path: hardware recovery replay, pipeline and clock
   // resets, trace epoch advance.
@@ -256,6 +258,11 @@ class Runtime {
   std::vector<PendingSync> pending_syncs_;
   PoolId next_pool_ = 1;
   std::vector<std::uint8_t> scratch_;
+  // Reused by every command, so issuing one allocates nothing once they
+  // have grown: its work items, their per-device pieces, one item's slices.
+  std::vector<NdpWorkItem> work_;
+  std::vector<std::vector<NdpWorkItem>> per_dev_;
+  std::vector<DeviceSlice> slices_;
   TraceRecorder* trace_ = nullptr;
   analyze::PmSanitizer* san_ = nullptr;
 };

@@ -152,11 +152,11 @@ SimTime NearPmDevice::HostAccessBarrier(const AddrRange& range, bool is_write,
   if (range.empty()) {
     return now;
   }
-  std::vector<std::uint64_t> conflicting;
+  conflicting_.clear();
   const SimTime free_at = inflight_.Conflicts(range, is_write, now,
-                                              &conflicting);
+                                              &conflicting_);
   // The CPU access is now ordered after these requests' completion.
-  for (std::uint64_t seq : conflicting) {
+  for (std::uint64_t seq : conflicting_) {
     space_->RetireRequest(id_, seq);
     NEARPM_TRACE_EVENT(trace_, .phase = TracePhase::kRetire,
                        .pid = TraceDevicePid(id_), .tid = kTraceDispatcherTid,
@@ -215,7 +215,7 @@ void NearPmDevice::Apply(std::uint64_t seq,
         break;
       }
       case NdpWorkItem::Kind::kLiteral:
-        space_->NdpWrite(id_, seq, item.dst, item.literal);
+        space_->NdpWrite(id_, seq, item.dst, item.literal_bytes());
         break;
     }
   }
@@ -225,12 +225,12 @@ void NearPmDevice::HostWritebackAccepted(const AddrRange& range, SimTime now) {
   if (range.empty()) {
     return;
   }
-  std::vector<std::uint64_t> conflicting;
-  inflight_.Conflicts(range, /*access_is_write=*/true, now, &conflicting);
+  conflicting_.clear();
+  inflight_.Conflicts(range, /*access_is_write=*/true, now, &conflicting_);
   NEARPM_TRACE_EVENT(trace_, .phase = TracePhase::kWritebackAccepted,
                      .pid = TraceDevicePid(id_), .tid = kTraceDispatcherTid,
-                     .ts = now, .range = range, .arg0 = conflicting.size());
-  for (std::uint64_t seq : conflicting) {
+                     .ts = now, .range = range, .arg0 = conflicting_.size());
+  for (std::uint64_t seq : conflicting_) {
     space_->RetireRequest(id_, seq);
     ++stats_.host_buffered_writebacks;
     NEARPM_TRACE_EVENT(trace_, .phase = TracePhase::kRetire,

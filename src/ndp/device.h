@@ -133,6 +133,7 @@ class NearPmDevice {
   SimTime last_completion_ = 0;
   DeviceStats stats_;
   std::vector<std::uint8_t> copy_buffer_;
+  std::vector<std::uint64_t> conflicting_;  // reused by the host orderings
   TraceRecorder* trace_ = nullptr;
   analyze::PmSanitizer* san_ = nullptr;
 };

@@ -3,7 +3,9 @@
 #ifndef SRC_NDP_REQUEST_H_
 #define SRC_NDP_REQUEST_H_
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/common/types.h"
@@ -39,15 +41,18 @@ struct NearPmRequest {
 // prefix -- which is why validity metadata is always the *last* item.
 struct NdpWorkItem {
   enum class Kind : std::uint8_t { kCopy, kLiteral };
+  // A literal is a slot header (or a piece of one): at most one cache line,
+  // so it lives inline and building a command allocates nothing.
+  static constexpr std::size_t kMaxLiteral = 64;
   Kind kind = Kind::kCopy;
   PmAddr src = 0;  // kCopy only
   PmAddr dst = 0;
-  std::uint64_t size = 0;               // kCopy only
-  std::vector<std::uint8_t> literal;    // kLiteral only
+  std::uint64_t size = 0;  // bytes written at `dst`
+  std::array<std::uint8_t, kMaxLiteral> literal{};  // kLiteral only
 
-  // Bytes written at `dst`.
-  std::uint64_t bytes() const {
-    return kind == Kind::kCopy ? size : literal.size();
+  // The bytes a literal writes.
+  std::span<const std::uint8_t> literal_bytes() const {
+    return {literal.data(), size};
   }
 };
 

@@ -22,22 +22,18 @@ PmAddr InterleaveMap::LocalOffsetOf(PmAddr addr) const {
   return local_stripe * stripe_ + (addr % stripe_);
 }
 
-std::vector<DeviceSlice> InterleaveMap::Split(const AddrRange& range) const {
-  std::vector<DeviceSlice> out;
-  if (range.empty()) {
-    return out;
-  }
+void InterleaveMap::Split(const AddrRange& range,
+                          std::vector<DeviceSlice>* out) const {
   PmAddr cur = range.begin;
   while (cur < range.end) {
     const PmAddr stripe_end = AlignDown(cur, stripe_) + stripe_;
     const PmAddr piece_end = stripe_end < range.end ? stripe_end : range.end;
-    out.push_back(DeviceSlice{
+    out->push_back(DeviceSlice{
         .device = DeviceOf(cur),
         .global = AddrRange{cur, piece_end},
     });
     cur = piece_end;
   }
-  return out;
 }
 
 }  // namespace nearpm

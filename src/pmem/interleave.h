@@ -34,9 +34,10 @@ class InterleaveMap {
   PmAddr LocalOffsetOf(PmAddr addr) const;
 
   // Splits a global range into per-device contiguous slices, in address
-  // order. Used by the memory-controller model to duplicate a NearPM command
-  // to every device the operand touches.
-  std::vector<DeviceSlice> Split(const AddrRange& range) const;
+  // order, appended to `out` (reused across calls, so a split allocates
+  // nothing once it has grown). Used by the memory-controller model to
+  // duplicate a NearPM command to every device the operand touches.
+  void Split(const AddrRange& range, std::vector<DeviceSlice>* out) const;
 
  private:
   int num_devices_;

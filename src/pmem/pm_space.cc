@@ -20,7 +20,16 @@ PmSpace::PmSpace(const PmSpaceOptions& options)
       interleave_(options.num_devices, options.stripe),
       current_(MapZeroedArray<std::uint8_t>(options.size)),
       size_(options.size),
-      device_logs_(static_cast<size_t>(options.num_devices)) {}
+      device_logs_(static_cast<size_t>(options.num_devices)) {
+  if (options_.retain_crash_state) {
+    const std::size_t lines =
+        (size_ + kCacheLineSize - 1) / kCacheLineSize;
+    read_guards_ = MapZeroedArray<LineSeq>(lines);
+    for (DeviceLog& log : device_logs_) {
+      log.last_writer = MapZeroedArray<LineSeq>(lines);
+    }
+  }
+}
 
 void PmSpace::CheckRange(PmAddr addr, std::uint64_t len) const {
   assert(addr + len <= size_ && addr + len >= addr);
@@ -29,13 +38,11 @@ void PmSpace::CheckRange(PmAddr addr, std::uint64_t len) const {
 }
 
 void PmSpace::SnapshotPendingLine(PmAddr line_base) {
-  auto it = pending_.find(line_base);
-  if (it != pending_.end()) {
-    return;  // pre-image already captured since the last persist
+  auto [it, inserted] = pending_.try_emplace(line_base);
+  if (inserted) {  // else the pre-image was captured since the last persist
+    std::memcpy(it->second.data(), current_.get() + line_base,
+                kCacheLineSize);
   }
-  std::vector<std::uint8_t> old(kCacheLineSize);
-  std::memcpy(old.data(), current_.get() + line_base, kCacheLineSize);
-  pending_.emplace(line_base, std::move(old));
 }
 
 void PmSpace::ObserveRange(const AddrRange& range) {
@@ -48,12 +55,11 @@ void PmSpace::ObserveRange(const AddrRange& range) {
   for (PmAddr line = first; line <= last; line += kCacheLineSize) {
     const DeviceId dev = interleave_.DeviceOf(line);
     DeviceLog& log = device_logs_[dev];
-    if (log.last_writer.empty()) {
+    if (log.last_writer_lines == 0) {
       continue;
     }
-    auto w = log.last_writer.find(line);
-    if (w != log.last_writer.end()) {
-      RetireRequest(dev, w->second);
+    if (const LineSeq* w = Find(log.last_writer, line)) {
+      RetireRequest(dev, w->seq);
     }
   }
 }
@@ -161,21 +167,23 @@ void PmSpace::NdpWrite(DeviceId device, std::uint64_t request_seq, PmAddr addr,
     const std::uint64_t n =
         std::min<std::uint64_t>(line_end - cur, data.size() - off);
 
-    auto w = log.last_writer.find(line_base);
-    if (w != log.last_writer.end() && w->second != request_seq) {
-      auto pos = log.by_seq.find(w->second);
-      if (pos != log.by_seq.end() &&
-          !log.records[pos->second - log.base].retired) {
-        rec->deps.push_back(w->second);
+    if (const LineSeq* w = Find(log.last_writer, line_base)) {
+      if (w->seq != request_seq) {
+        auto pos = log.by_seq.find(w->seq);
+        if (pos != log.by_seq.end() &&
+            !log.records[pos->second - log.base].retired) {
+          rec->deps.push_back(w->seq);
+        }
       }
+    } else {
+      ++log.last_writer_lines;
     }
-    log.last_writer[line_base] = request_seq;
+    Stamp(log.last_writer, line_base, request_seq);
 
-    LineEvent ev;
+    LineEvent& ev = rec->lines.emplace_back();
     ev.addr = cur;
     ev.len = static_cast<std::uint8_t>(n);
-    ev.old_bytes.assign(current_.get() + cur, current_.get() + cur + n);
-    rec->lines.push_back(std::move(ev));
+    std::memcpy(ev.old_bytes.data(), current_.get() + cur, n);
     std::memcpy(current_.get() + cur, data.data() + off, n);
     off += n;
   }
@@ -188,8 +196,9 @@ void PmSpace::GuardRange(DeviceId device, std::uint64_t request_seq,
   }
   const PmAddr first = AlignDown(range.begin, kCacheLineSize);
   const PmAddr last = AlignDown(range.end - 1, kCacheLineSize);
+  (void)device;  // only the seq is read back (the crash's guard repair)
   for (PmAddr line = first; line <= last; line += kCacheLineSize) {
-    read_guards_[line] = {device, request_seq};
+    Stamp(read_guards_, line, request_seq);
   }
 }
 
@@ -211,9 +220,10 @@ void PmSpace::RetireRecord(DeviceLog& log, RequestRecord& rec) {
   }
   rec.retired = true;
   for (const LineEvent& ev : rec.lines) {
-    auto w = log.last_writer.find(AlignDown(ev.addr, kCacheLineSize));
-    if (w != log.last_writer.end() && w->second == rec.seq) {
-      log.last_writer.erase(w);
+    LineSeq* w = Find(log.last_writer, AlignDown(ev.addr, kCacheLineSize));
+    if (w != nullptr && w->seq == rec.seq) {
+      w->generation = 0;
+      --log.last_writer_lines;
     }
   }
   rec.lines.clear();
@@ -332,7 +342,7 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
       ++report.cpu_lines_survived;
       survivor_lines.push_back(line);
     } else {
-      std::memcpy(current_.get() + line, old_bytes.data(), old_bytes.size());
+      std::memcpy(current_.get() + line, old_bytes.data(), kCacheLineSize);
       ++report.cpu_lines_dropped;
     }
   }
@@ -376,14 +386,12 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
       }
     };
     for (PmAddr line : survivor_lines) {
-      auto guard = read_guards_.find(line);
-      if (guard != read_guards_.end()) {
-        force_durable(guard->second.second);
+      if (const LineSeq* guard = Find(read_guards_, line)) {
+        force_durable(guard->seq);
       }
       const DeviceId dev = interleave_.DeviceOf(line);
-      auto writer = device_logs_[dev].last_writer.find(line);
-      if (writer != device_logs_[dev].last_writer.end()) {
-        force_durable(writer->second);
+      if (const LineSeq* writer = Find(device_logs_[dev].last_writer, line)) {
+        force_durable(writer->seq);
       }
     }
   }
@@ -486,11 +494,6 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
         std::memcpy(current_.get() + ev.addr, ev.old_bytes.data(), ev.len);
       }
     }
-    log.records.clear();
-    log.by_seq.clear();
-    log.last_writer.clear();
-    log.sync_positions.clear();
-    log.base = 0;
   }
 
   if (NEARPM_TRACE_ENABLED(trace_)) {
@@ -505,7 +508,7 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
     }
   }
 
-  read_guards_.clear();
+  ClearLogs();
   last_sync_id_ = 0;
   return report;
 }
@@ -513,14 +516,18 @@ CrashReport PmSpace::CrashWith(std::uint64_t crash_time, SurviveFn&& survive) {
 void PmSpace::Quiesce() {
   NEARPM_SAN_HOOK(san_, OnQuiesce());
   pending_.clear();
-  read_guards_.clear();
+  ClearLogs();
+}
+
+void PmSpace::ClearLogs() {
   for (auto& log : device_logs_) {
     log.records.clear();
     log.by_seq.clear();
-    log.last_writer.clear();
+    log.last_writer_lines = 0;
     log.sync_positions.clear();
     log.base = 0;
   }
+  ++generation_;  // empties every line table at once
 }
 
 }  // namespace nearpm

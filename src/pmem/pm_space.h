@@ -32,9 +32,20 @@
 // ordered before subsequent CPU execution (a conflict stall, a polled
 // completion, a passed synchronization): retired requests are durable at any
 // later crash and their pre-images are released.
+//
+// Host cost follows the bytes a command touches. Pre-images are inline
+// 64-byte arrays. The per-line facts the crash repairs read -- the latest
+// request guarding a line against eviction, and per device the last live
+// request writing it -- sit in flat line tables of ceil(size/64) entries,
+// allocated only with retain_crash_state and backed by MapZeroedArray, so
+// only pages of stamped lines become resident. An entry holds a seq and the
+// generation it was stamped in; Crash and Quiesce clear every table in O(1)
+// by bumping the generation. Pending CPU lines stay in a hash map:
+// Crash(Rng&) draws their fates in its iteration order.
 #ifndef SRC_PMEM_PM_SPACE_H_
 #define SRC_PMEM_PM_SPACE_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -197,11 +208,21 @@ class PmSpace {
   void set_sanitizer(analyze::PmSanitizer* san) { san_ = san; }
 
  private:
+  // A line's durable pre-image: the first `len` bytes (one write event),
+  // or the whole line (a pending CPU line).
+  using LineBytes = std::array<std::uint8_t, kCacheLineSize>;
   struct LineEvent {
     PmAddr addr = 0;
     std::uint8_t len = 0;
-    std::vector<std::uint8_t> old_bytes;
+    LineBytes old_bytes;
   };
+  // One seq per cache line of the space, valid only in the generation it
+  // was stamped in.
+  struct LineSeq {
+    std::uint64_t generation = 0;
+    std::uint64_t seq = 0;
+  };
+  using LineTable = ZeroedPages<LineSeq>;
   struct RequestRecord {
     std::uint64_t seq = 0;
     std::uint64_t after_sync = 0;  // latest sync id issued before this request
@@ -218,8 +239,10 @@ class PmSpace {
     std::size_t base = 0;
     // seq -> absolute position
     std::unordered_map<std::uint64_t, std::size_t> by_seq;
-    // line base -> seq of last live request writing it (dependency tracking)
-    std::unordered_map<PmAddr, std::uint64_t> last_writer;
+    // Per line: seq of the last live request writing it (dependency
+    // tracking), and how many lines hold one.
+    LineTable last_writer;
+    std::size_t last_writer_lines = 0;
     // (sync_id, absolute record position at marker time)
     std::vector<std::pair<std::uint64_t, std::size_t>> sync_positions;
   };
@@ -230,19 +253,35 @@ class PmSpace {
   CrashReport CrashWith(std::uint64_t crash_time, SurviveFn&& survive);
 
   void CheckRange(PmAddr addr, std::uint64_t len) const;
+  // `table`'s entry for `line` when it holds one in this generation.
+  LineSeq* Find(LineTable& table, PmAddr line) {
+    LineSeq& entry = table[line / kCacheLineSize];
+    return entry.generation == generation_ ? &entry : nullptr;
+  }
+  void Stamp(LineTable& table, PmAddr line, std::uint64_t seq) {
+    table[line / kCacheLineSize] = LineSeq{generation_, seq};
+  }
   void SnapshotPendingLine(PmAddr line_base);
   void RetireRecord(DeviceLog& log, RequestRecord& rec);
   void CompactLogs();
+  // Empties every device log and line table (a crash or Quiesce).
+  void ClearLogs();
 
   PmSpaceOptions options_;
   InterleaveMap interleave_;
   // Lazily backed: the resident size follows the PM actually touched.
   ZeroedPages<std::uint8_t> current_;
   std::uint64_t size_ = 0;
-  // line base address -> durable pre-image of the 64-byte line
-  std::unordered_map<PmAddr, std::vector<std::uint8_t>> pending_;
-  // line base -> latest in-flight request reading it (eviction ordering)
-  std::unordered_map<PmAddr, std::pair<DeviceId, std::uint64_t>> read_guards_;
+  // line base address -> durable pre-image of the 64-byte line. A hash map,
+  // not a line table: Crash(Rng&) draws each line's fate in its iteration
+  // order, so seeded crash states depend on it.
+  std::unordered_map<PmAddr, LineBytes> pending_;
+  // Per line: seq of the latest request that guarded it (eviction ordering).
+  LineTable read_guards_;
+  // Line-table entries stamped with an older generation are empty: a crash
+  // or Quiesce clears every table by bumping it. Starts at 1, so the zero
+  // pages of a fresh table hold nothing.
+  std::uint64_t generation_ = 1;
   std::vector<DeviceLog> device_logs_;
   std::uint64_t last_sync_id_ = 0;
   TraceRecorder* trace_ = nullptr;

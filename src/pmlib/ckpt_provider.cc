@@ -122,7 +122,7 @@ StatusOr<bool> CheckpointProvider::CommitOp(ThreadId t,
                           ts.used_slots + kSlotMargin >= kCkptSlots;
   NEARPM_TRACE_EVENT(rt.trace(), .phase = TracePhase::kOpCommit, .tid = t,
                      .ts = rt.Now(t), .seq = ts.epoch,
-                     .arg0 = will_close ? 1 : 0);
+                     .arg0 = static_cast<std::uint64_t>(will_close));
   ts.active = false;
   ++ts.ops_in_epoch;
   if (will_close) {

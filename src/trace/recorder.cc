@@ -155,7 +155,8 @@ void TraceRecorder::Record(TraceEvent event) {
   } else {
     ++phase_counts_[phase];
     if (event.is_span()) {
-      phase_latency_[phase].Add(event.dur);
+      ++phase_latency_buckets_[phase][Histogram::BucketOf(event.dur)];
+      phase_latency_sum_[phase] += event.dur;
     }
   }
 }
@@ -204,8 +205,10 @@ void TraceRecorder::SyncPhaseMetrics() const {
     if (phase_counts_[i] > 0) {
       metrics_.Counter(TracePhaseName(phase)).store(phase_counts_[i]);
     }
-    if (phase_latency_[i].count() > 0) {
-      metrics_.Latency(TracePhaseName(phase)) = phase_latency_[i];
+    const Histogram latency = Histogram::FromBuckets(
+        phase_latency_buckets_[i], phase_latency_sum_[i]);
+    if (latency.count() > 0) {
+      metrics_.Latency(TracePhaseName(phase)) = latency;
     }
     if (phase_gauge_set_[i]) {
       metrics_.SetGauge(TracePhaseName(phase), phase_gauge_[i]);

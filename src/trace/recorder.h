@@ -135,10 +135,14 @@ class TraceRecorder {
   bool enabled_ = true;
   std::uint32_t epoch_ = 0;
   std::uint64_t active_trace_ = 0;
-  // Hot-path phase accumulators (single-threaded, plain loads/stores; the
-  // Histogram's relaxed atomics cost nothing uncontended).
+  // Hot-path phase accumulators: plain loads and stores, since only the
+  // writer touches them. Span latencies are counted in Histogram's buckets
+  // and become one when metrics() syncs: Histogram::Add is three locked
+  // read-modify-writes even uncontended, a measurable share of recording.
   std::array<std::uint64_t, kPhaseCount> phase_counts_{};
-  std::array<Histogram, kPhaseCount> phase_latency_;
+  std::array<std::array<std::uint64_t, Histogram::kBuckets>, kPhaseCount>
+      phase_latency_buckets_{};
+  std::array<std::uint64_t, kPhaseCount> phase_latency_sum_{};
   std::array<double, kPhaseCount> phase_gauge_{};
   std::array<bool, kPhaseCount> phase_gauge_set_{};
   mutable MetricsRegistry metrics_;

@@ -382,7 +382,7 @@ TEST_F(DeviceFixture, WorkNsAccountsItems) {
   NdpWorkItem lit;
   lit.kind = NdpWorkItem::Kind::kLiteral;
   lit.dst = 8192;
-  lit.literal.assign(64, 0);
+  lit.size = 64;
   work.push_back(lit);
   const double ns = NdpWorkNs(cost, work);
   EXPECT_DOUBLE_EQ(

@@ -49,7 +49,8 @@ TEST(InterleaveTest, LocalOffsets) {
 
 TEST(InterleaveTest, SplitWithinOneStripe) {
   InterleaveMap il(2, 4096);
-  const auto slices = il.Split({100, 200});
+  std::vector<DeviceSlice> slices;
+  il.Split({100, 200}, &slices);
   ASSERT_EQ(slices.size(), 1u);
   EXPECT_EQ(slices[0].device, 0u);
   EXPECT_EQ(slices[0].global, (AddrRange{100, 200}));
@@ -57,7 +58,8 @@ TEST(InterleaveTest, SplitWithinOneStripe) {
 
 TEST(InterleaveTest, SplitAcrossStripes) {
   InterleaveMap il(2, 4096);
-  const auto slices = il.Split({4000, 8300});
+  std::vector<DeviceSlice> slices;
+  il.Split({4000, 8300}, &slices);
   ASSERT_EQ(slices.size(), 3u);
   EXPECT_EQ(slices[0].device, 0u);
   EXPECT_EQ(slices[0].global, (AddrRange{4000, 4096}));
@@ -72,7 +74,9 @@ TEST(InterleaveTest, SplitCoversRangeExactly) {
   const AddrRange range{100, 5000};
   std::uint64_t covered = 0;
   PmAddr expect_next = range.begin;
-  for (const auto& s : il.Split(range)) {
+  std::vector<DeviceSlice> slices;
+  il.Split(range, &slices);
+  for (const auto& s : slices) {
     EXPECT_EQ(s.global.begin, expect_next);
     expect_next = s.global.end;
     covered += s.global.size();
@@ -192,13 +196,24 @@ TEST(PmSpaceTest, LargeSpaceIsBackedLazily) {
   space.CpuRead(last, out);
   EXPECT_EQ(out, zeros);
 
+  // The crash-state line tables must be as lazy as the media: guard and
+  // NDP-write both ends of the space (undeclared requests, durable).
+  const DeviceId last_dev = space.interleave().DeviceOf(last);
+  space.GuardRange(0, 1, {0, kCacheLineSize});
+  space.GuardRange(last_dev, 2, {last, o.size});
+  space.NdpWrite(0, 1, 0, Pattern(kCacheLineSize, 5));
+  space.NdpWrite(last_dev, 2, last, Pattern(kCacheLineSize, 7));
+
   space.CpuWrite(last, Pattern(kCacheLineSize, 3));
   space.CpuRead(last, out);
   EXPECT_EQ(out, Pattern(kCacheLineSize, 3));
   const CrashReport report = space.Crash(CrashPlan{});  // every line lost
   EXPECT_EQ(report.cpu_lines_dropped, 1u);
   space.CpuRead(last, out);
-  EXPECT_EQ(out, zeros);
+  EXPECT_EQ(out, Pattern(kCacheLineSize, 7));
+  space.CpuRead(0, out);
+  EXPECT_EQ(out, Pattern(kCacheLineSize, 5));
+  EXPECT_LT(ResidentBytes() - before, static_cast<std::int64_t>(o.size / 4));
 }
 
 // A serving node's 16 MB space stays lazy whatever the process allocated
@@ -391,6 +406,81 @@ TEST(PmSpaceTest, CrashReportsOutcomes) {
   ASSERT_EQ(report.outcomes.size(), 2u);
   EXPECT_EQ(report.outcomes[0].at(7), CrashOutcome::kDurable);
   EXPECT_EQ(report.outcomes[0].at(8), CrashOutcome::kDropped);
+}
+
+// ---- PmSpace: eviction guards and last writers ------------------------------
+
+// Request 1 is live and guards line 0 (it writes line 64); request 2 guards
+// line 0 later and retires. A surviving line 0 is ordered behind its newest
+// guard only, so nothing is forced durable and request 1 is dropped.
+TEST(PmSpaceTest, NewerRetiredGuardShadowsOlderLiveGuard) {
+  for (const bool newer_guard : {false, true}) {
+    PmSpace space(SmallSpace());
+    space.BeginNdpRequest(0, 1, 1000, 2000);
+    space.GuardRange(0, 1, {0, 64});
+    space.NdpWrite(0, 1, 64, Pattern(64, 1));
+    if (newer_guard) {
+      space.GuardRange(0, 2, {0, 64});
+      space.RetireRequest(0, 2);
+    }
+    space.CpuWrite(0, Pattern(64, 9));
+    const CrashReport report =
+        space.Crash(CrashPlan{.crash_time = 0, .line_survival = {true}});
+    EXPECT_EQ(report.cpu_lines_survived, 1u);
+    // Without the newer guard, the surviving line forces request 1 durable.
+    EXPECT_EQ(report.requests_dropped, newer_guard ? 1u : 0u) << newer_guard;
+    EXPECT_EQ(report.requests_durable, newer_guard ? 0u : 1u) << newer_guard;
+  }
+}
+
+// A guard or last writer recorded before a Quiesce or a crash orders
+// nothing after it, even for a request that reuses its seq.
+TEST(PmSpaceTest, LineTablesDoNotSurviveQuiesceOrCrash) {
+  for (const bool crash : {false, true}) {
+    PmSpace space(SmallSpace());
+    space.GuardRange(0, 5, {0, 64});
+    space.BeginNdpRequest(0, 6, 1000, 2000);
+    space.NdpWrite(0, 6, 128, Pattern(64, 1));
+    if (crash) {
+      space.Crash(CrashPlan{.crash_time = 5000, .line_survival = {}});
+    } else {
+      space.Quiesce();
+    }
+    space.BeginNdpRequest(0, 5, 1000, 2000);
+    space.NdpWrite(0, 5, 256, Pattern(64, 2));
+    space.BeginNdpRequest(0, 6, 1000, 2000);
+    space.NdpWrite(0, 6, 320, Pattern(64, 3));
+    std::vector<std::uint8_t> out(64);
+    space.CpuRead(128, out);  // request 6 no longer writes this line
+    EXPECT_EQ(space.live_request_count(0), 2u) << crash;
+    space.CpuWrite(0, Pattern(64, 9));
+    space.CpuWrite(128, Pattern(64, 9));
+    const CrashReport report = space.Crash(
+        CrashPlan{.crash_time = 0, .line_survival = {true, true}});
+    EXPECT_EQ(report.cpu_lines_survived, 2u) << crash;
+    EXPECT_EQ(report.requests_dropped, 2u) << crash;
+  }
+}
+
+// Line 0 is written by request 1, then by request 2. Retiring request 1
+// leaves request 2 as the line's writer, so a load of the line retires 2;
+// once 2 has retired, a load of the line retires nothing.
+TEST(PmSpaceTest, LineKeepsItsWriterUntilTheNewerRequestRetires) {
+  PmSpace space(SmallSpace());
+  space.BeginNdpRequest(0, 1, 1000, 2000);
+  space.NdpWrite(0, 1, 0, Pattern(64, 1));
+  space.BeginNdpRequest(0, 2, 3000, 4000);
+  space.NdpWrite(0, 2, 0, Pattern(64, 2));
+  space.RetireRequest(0, 1);
+  EXPECT_EQ(space.live_request_count(0), 1u);
+  std::vector<std::uint8_t> out(64);
+  space.CpuRead(0, out);
+  EXPECT_EQ(space.live_request_count(0), 0u);
+  space.BeginNdpRequest(0, 3, 5000, 6000);
+  space.NdpWrite(0, 3, 64, Pattern(64, 3));
+  space.CpuRead(0, out);
+  EXPECT_EQ(out, Pattern(64, 2));
+  EXPECT_EQ(space.live_request_count(0), 1u);
 }
 
 TEST(PmSpaceTest, FastPathWithoutCrashState) {

@@ -16,6 +16,7 @@
 
 #include "src/common/json.h"
 #include "src/common/rng.h"
+#include "src/common/stats.h"
 #include "src/core/runtime.h"
 #include "src/trace/chrome_exporter.h"
 #include "src/trace/metrics.h"
@@ -164,19 +165,29 @@ TEST(TraceRecorderTest, MacrosAreSafeWhenDetachedOrDisabled) {
 
 TEST(TraceRecorderTest, FeedsMetricsPerPhase) {
   TraceRecorder recorder;
-  NEARPM_TRACE_SPAN(&recorder, .phase = TracePhase::kUnitExec,
-                    .pid = TraceDevicePid(0), .tid = kTraceUnitTidBase,
-                    .ts = 100, .dur = 250);
+  Histogram expected;
+  for (const std::uint64_t dur : {250ull, 1ull, 1ull << 40}) {
+    NEARPM_TRACE_SPAN(&recorder, .phase = TracePhase::kUnitExec,
+                      .pid = TraceDevicePid(0), .tid = kTraceUnitTidBase,
+                      .ts = 100, .dur = dur);
+    expected.Add(dur);
+  }
   NEARPM_TRACE_EVENT(&recorder, .phase = TracePhase::kCpuFence, .ts = 5);
 
   const MetricsRegistry& metrics = recorder.metrics();
   ASSERT_NE(metrics.counters().find("unit_exec"), metrics.counters().end());
-  EXPECT_EQ(metrics.counters().at("unit_exec"), 1u);
+  EXPECT_EQ(metrics.counters().at("unit_exec"), 3u);
   EXPECT_EQ(metrics.counters().at("cpu_fence"), 1u);
-  // Only spans feed the latency histograms.
+  // Only spans feed the latency histograms, bucket for bucket as Add
+  // would have counted them.
   ASSERT_NE(metrics.histograms().find("unit_exec"),
             metrics.histograms().end());
-  EXPECT_EQ(metrics.histograms().at("unit_exec").count(), 1u);
+  const Histogram& latency = metrics.histograms().at("unit_exec");
+  EXPECT_EQ(latency.count(), 3u);
+  EXPECT_EQ(latency.sum(), expected.sum());
+  for (int i = 0; i < Histogram::kBuckets; ++i) {
+    EXPECT_EQ(latency.bucket(i), expected.bucket(i)) << i;
+  }
   EXPECT_EQ(metrics.histograms().count("cpu_fence"), 0u);
 }
 
