@@ -43,12 +43,12 @@ struct RuntimeOptions {
   bool retain_crash_state = true;
   double pending_line_survival = 0.5;
   // Fault injection for the crash fuzzer's self-test: when true, recovery
-  // skips every journalled replay pass -- the hardware side (the recovery
-  // journal's in-flight replay and the crash model's sync-frontier repair,
-  // Section 5.3.3) and the mechanism side (undo rollback, redo reapply,
-  // checkpoint restore, shadow switch roll-forward), which scrub their logs
-  // without applying them. A deliberately broken recovery the fuzzer must
-  // catch. Never set in production configurations.
+  // skips every replay pass -- the hardware side (the crash model's
+  // sync-frontier repair, which is the Section 5.3.3 replay of the request
+  // FIFO) and the mechanism side (undo rollback, redo reapply, checkpoint
+  // restore, shadow switch roll-forward), which scrub their logs without
+  // applying them. A deliberately broken recovery the fuzzer must catch.
+  // Never set in production configurations.
   bool skip_recovery_replay = false;
   // Device geometry and platform cost constants. The default reproduces the
   // seed platform (Table 3 geometry, VCU118 calibration) bit-for-bit; load a

@@ -384,10 +384,6 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
     ++counters_.duplicated_commands;
   }
 
-  // The command sits in the persistence-domain Request FIFO until it
-  // finishes executing; a crash in that window replays it.
-  journal_.Add(request, sync_counter_, completion);
-
   const double post_ns = static_cast<double>(cpu_now - stats_.now(t));
   stats_.ChargeAs(t, post_ns, stats_.Category(t));
   stats_.AddNdpBusy(cpu_now, completion);
@@ -399,17 +395,14 @@ SimTime Runtime::IssueNdp(const NearPmRequest& request,
         space_.RetireRequest(static_cast<DeviceId>(d), request.seq);
       }
     }
-    journal_.Remove(request.seq);
   }
   return completion;
 }
 
 void Runtime::HarvestSyncs(SimTime now) {
-  journal_.RemoveCompletedBefore(now);
   while (!pending_syncs_.empty() && pending_syncs_.front().done_at <= now) {
     const std::uint64_t id = pending_syncs_.front().id;
     space_.RetireThroughSync(id);
-    journal_.RemoveThroughSync(id);
     pending_syncs_.erase(pending_syncs_.begin());
   }
 }
@@ -480,7 +473,6 @@ Status Runtime::CommitLog(PoolId pool, ThreadId t,
       const std::uint64_t sync_id = ++sync_counter_;
       space_.SyncMarker(sync_id);
       space_.RetireThroughSync(sync_id);
-      journal_.RemoveThroughSync(sync_id);
       NEARPM_TRACE_EVENT(trace_, .phase = TracePhase::kSyncMarker,
                          .pid = kTraceSyncPid, .ts = poll_begin,
                          .seq = sync_id);
@@ -587,7 +579,6 @@ void Runtime::DrainDevices(ThreadId t) {
     space_.SyncMarker(sync_id);
     space_.RetireThroughSync(sync_id);
   }
-  journal_.Clear();
   pending_syncs_.clear();
 }
 
@@ -618,46 +609,13 @@ CrashReport Runtime::FinishCrash(CrashReport report, SimTime crash_time) {
   // the sanitizer's shadow state with them.
   NEARPM_SAN_HOOK(san_, OnCrash());
 
-  // Hardware recovery (Section 5.3.3): reload the persistence-domain
-  // structures and replay the requests that were still in flight -- in the
-  // FIFO, i.e. not yet complete at the failure -- up to the latest
-  // synchronization point all devices had reached.
-  journal_.RemoveCompletedBefore(crash_time);
-  // A request whose effects are already durable (completed, or retired
-  // because a dependent write-back was accepted behind it) has left the
-  // FIFO: replaying it would re-execute against post-crash data.
-  auto already_durable = [&report](std::uint64_t seq) {
-    for (const auto& outcomes : report.outcomes) {
-      auto it = outcomes.find(seq);
-      if (it != outcomes.end() && it->second != CrashOutcome::kDurable) {
-        return false;
-      }
-    }
-    return true;  // durable everywhere, or compacted away after retirement
-  };
-  // The skip is the fuzzer's planted bug (see RuntimeOptions): recovery
-  // forgets the in-flight window entirely.
-  const std::vector<RecoveryJournal::Entry> replay_set =
-      options_.skip_recovery_replay
-          ? std::vector<RecoveryJournal::Entry>{}
-          : journal_.ReplaySet(report.frontier_sync);
-  for (const RecoveryJournal::Entry& e : replay_set) {
-    if (already_durable(e.request.seq)) {
-      continue;
-    }
-    NEARPM_TRACE_EVENT(trace_, .phase = TracePhase::kRecoveryReplay,
-                       .ts = crash_time, .seq = e.request.seq,
-                       .arg0 = static_cast<std::uint64_t>(e.request.op));
-    const std::vector<std::vector<NdpWorkItem>>& per_dev =
-        SplitPerDevice(BuildWork(e.request));
-    for (std::size_t d = 0; d < per_dev.size(); ++d) {
-      devices_[d]->Apply(e.request.seq, per_dev[d]);
-    }
-  }
-  // Replayed writes persisted before software recovery starts.
-  space_.Quiesce();
-
-  journal_.Clear();
+  // Hardware recovery (Section 5.3.3) replays the persistence-domain
+  // request FIFO up to the latest synchronization point every device had
+  // reached. PmSpace::Crash has already applied it to the image: its
+  // sync-frontier repair made every request issued before that point durable
+  // on every device, and requests past it are left to the software
+  // mechanism's recovery (their logs are intact -- that is what delayed
+  // synchronization guarantees).
   pending_syncs_.clear();
   for (auto& dev : devices_) {
     dev->Reset();

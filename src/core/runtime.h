@@ -1,12 +1,11 @@
 // The NearPM runtime: the software interface of Table 2 plus the simulated
 // platform behind it.
 //
-// A Runtime owns the PM address space, the NearPM devices, the recovery
-// journal and the virtual clocks of every application thread. PM libraries
-// (src/pmlib) express crash-consistency mechanisms in terms of the Table 2
-// primitives; the runtime dispatches each primitive either to the CPU
-// (baseline mode) or to the NearPM devices, enforcing Partitioned Persist
-// Ordering along the way:
+// A Runtime owns the PM address space, the NearPM devices and the virtual
+// clocks of every application thread. PM libraries (src/pmlib) express
+// crash-consistency mechanisms in terms of the Table 2 primitives; the
+// runtime dispatches each primitive either to the CPU (baseline mode) or to
+// the NearPM devices, enforcing Partitioned Persist Ordering along the way:
 //
 //  * Invariant 1/2 (CPU-NDP): every CPU load/store consults the devices'
 //    in-flight access tables and stalls behind conflicting NDP work; CPU
@@ -35,7 +34,6 @@
 #include "src/core/options.h"
 #include "src/ndp/address_map.h"
 #include "src/ndp/device.h"
-#include "src/ndp/recovery_journal.h"
 #include "src/ndp/request.h"
 #include "src/pmem/pm_space.h"
 #include "src/trace/recorder.h"
@@ -165,10 +163,11 @@ class Runtime {
   std::uint64_t NextTxId() { return ++tx_counter_; }
 
   // ---- Failure injection and hardware recovery (Section 5.3.3) --------------
-  // Collapses the functional state to a legal durable image, then performs
-  // the hardware recovery procedure: journalled in-flight requests issued
-  // before the last fully-reached synchronization point are re-executed.
-  // Device pipelines and virtual clocks restart from zero. The *software*
+  // Collapses the functional state to a legal durable image. The image
+  // already holds the hardware recovery procedure's effect: every request
+  // issued before the last synchronization point all devices reached is
+  // durable on every device (PmSpace's sync-frontier repair). Device
+  // pipelines and virtual clocks restart from zero. The *software*
   // mechanism recovery (undo rollback, checkpoint restore, ...) is the
   // caller's job, as in the paper.
   CrashReport InjectCrash(Rng& rng);
@@ -210,30 +209,28 @@ class Runtime {
 
   // Splits `work` (global addresses) per destination device and issues the
   // command, duplicated across the participating devices. Returns overall
-  // completion time. Updates clocks and journal.
+  // completion time. Updates clocks.
   SimTime IssueNdp(const NearPmRequest& request,
                    const AddrRange& read_range, const AddrRange& write_range,
                    const std::vector<NdpWorkItem>& work, SimTime earliest,
                    bool synchronous, bool deferred = false,
                    const analyze::SourceLoc& loc = {});
 
-  // Builds the functional work decomposition of a request (used at issue
-  // time and again by hardware recovery replay) into work_, which the
-  // result refers to until the next call.
+  // Builds the functional work decomposition of a request into work_, which
+  // the result refers to until the next call.
   const std::vector<NdpWorkItem>& BuildWork(const NearPmRequest& request);
   // Charges the CPU baseline's cost of the same request: the persist-copy
   // of its payload plus metadata generation (undo and checkpoint slots), or
   // the log delete (CommitLog).
   void ChargeCpuWork(const NearPmRequest& request);
   // Splits work items per destination device (interleave stripes), in
-  // device order: the memory controller's duplication, used at issue and by
-  // hardware recovery replay. Fills per_dev_, which the result refers to
-  // until the next call.
+  // device order: the memory controller's duplication at issue. Fills
+  // per_dev_, which the result refers to until the next call.
   const std::vector<std::vector<NdpWorkItem>>& SplitPerDevice(
       const std::vector<NdpWorkItem>& work);
 
-  // Shared post-failure path: hardware recovery replay, pipeline and clock
-  // resets, trace epoch advance.
+  // Shared post-failure path: pipeline and clock resets, trace epoch
+  // advance.
   CrashReport FinishCrash(CrashReport report, SimTime crash_time);
 
   // CPU access ordering against in-flight NDP work (Invariant 1/2).
@@ -249,7 +246,6 @@ class Runtime {
   PmSpace space_;
   AddressMappingTable addr_map_;
   std::vector<std::unique_ptr<NearPmDevice>> devices_;
-  RecoveryJournal journal_;
   RuntimeStats stats_;
   PrimitiveCounters counters_;
   std::uint64_t seq_counter_ = 0;

@@ -18,8 +18,8 @@ using serve::ShardRouter;
 using serve::TxnStopPhase;
 
 // Committed-but-undrained puts issued right before the transaction, so the
-// failure catches their device requests in flight (hardware journal replay
-// territory -- exactly what break_recovery breaks).
+// failure catches their device requests in flight (hardware recovery's
+// frontier repair territory -- exactly what break_recovery breaks).
 constexpr std::uint64_t kTailOps = 3;
 
 // Tail keys live in [20000, 21000), clear of the shared warmup and txn

@@ -4,9 +4,10 @@
 // Every case is fully deterministic: a seeded warmup (committed and drained
 // single-shard puts through the queue/batch path), a committed-but-undrained
 // tail (puts whose device requests are still in flight at the failure, so
-// hardware journal replay has real work to do), then one cross-shard
-// MultiPut abandoned at a chosen TxnStopPhase, a power failure on every
-// shard with a uniform pending-line survival mask, and RecoverAll().
+// hardware recovery's frontier repair has real work to do), then one
+// cross-shard MultiPut abandoned at a chosen TxnStopPhase, a power failure
+// on every shard with a uniform pending-line survival mask, and
+// RecoverAll().
 //
 // Oracles:
 //  * recovery must succeed on every shard;

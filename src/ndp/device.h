@@ -92,12 +92,6 @@ class NearPmDevice {
                             SimTime earliest_start,
                             NearPmOp op = NearPmOp::kCommitLog);
 
-  // Functional execution of one request slice: applies `work` to PmSpace in
-  // order, every write tagged with this device and `seq`. Issue and
-  // IssueDeferred end with it; hardware recovery calls it directly to
-  // re-execute a journalled request.
-  void Apply(std::uint64_t seq, const std::vector<NdpWorkItem>& work);
-
   // Completion time of everything issued to this device so far (used by the
   // multi-device handler to place synchronization points; deferred
   // maintenance work is excluded -- deleting recovery data of an already
@@ -121,6 +115,11 @@ class NearPmDevice {
   void Reset();
 
  private:
+  // Functional execution of one request slice: applies `work` to PmSpace in
+  // order, every write tagged with this device and `seq`. Issue and
+  // IssueDeferred end with it, after declaring the request's window.
+  void Apply(std::uint64_t seq, const std::vector<NdpWorkItem>& work);
+
   DeviceId id_;
   const hwmodel::HwConfig* hw_;
   const CostModel* cost_;  // &hw_->cost, cached for the timing formulas

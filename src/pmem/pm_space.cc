@@ -146,16 +146,9 @@ void PmSpace::NdpWrite(DeviceId device, std::uint64_t request_seq, PmAddr addr,
          PendingLinesIn(AddrRange{addr, addr + data.size()}) == 0);
 
   DeviceLog& log = device_logs_[device];
-  RequestRecord* rec = nullptr;
-  if (!log.records.empty() && log.records.back().seq == request_seq &&
-      !log.records.back().retired) {
-    rec = &log.records.back();
-  } else {
-    // Undeclared request (e.g. hardware recovery replay): executes at time
-    // zero, i.e. durable at any later crash.
-    BeginNdpRequest(device, request_seq, 0, 0);
-    rec = &log.records.back();
-  }
+  assert(!log.records.empty() && log.records.back().seq == request_seq &&
+         !log.records.back().retired && "request not declared on this device");
+  RequestRecord* rec = &log.records.back();
 
   // Record one event per cacheline so a crash can truncate a copy mid-way,
   // and collect dependency edges to earlier live requests on the same lines.

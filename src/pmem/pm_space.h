@@ -111,9 +111,9 @@ struct PmSpaceOptions {
   // Section 2.3.
   bool enforce_observation = true;
   // Fault injection for the crash fuzzer's self-test: disables the
-  // synchronization repair (Invariant 3) that models hardware recovery's
-  // replay of the journalled in-flight window, producing the broken images
-  // a forgotten frontier replay would leave behind.
+  // synchronization repair (Invariant 3), which is hardware recovery's
+  // replay of the request FIFO up to the frontier, producing the broken
+  // images a forgotten frontier replay would leave behind.
   bool skip_frontier_replay = false;
 };
 
@@ -138,8 +138,8 @@ class PmSpace {
   // ---- NDP-side accesses. All writes of one request on one device must be
   // issued contiguously (no interleaving of request_seq values per device).
   // BeginNdpRequest declares the request's execution window on the device
-  // timeline before its writes are applied; without it the request is
-  // treated as executing at time zero (always durable).
+  // timeline before its writes are applied (asserted with crash state on);
+  // a zero window makes the request durable at any later crash.
   void BeginNdpRequest(DeviceId device, std::uint64_t request_seq,
                        std::uint64_t start_ns, std::uint64_t completion_ns);
   void NdpWrite(DeviceId device, std::uint64_t request_seq, PmAddr addr,

@@ -104,8 +104,7 @@ SimTime RequestSlice::PhaseSum() const {
   return sum;
 }
 
-Profile BuildProfile(const std::vector<TraceEvent>& events,
-                     const ProfileOptions& options) {
+Profile BuildProfile(const std::vector<TraceEvent>& events) {
   std::vector<TraceEvent> sorted = events;
   std::sort(sorted.begin(), sorted.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
@@ -250,9 +249,8 @@ Profile BuildProfile(const std::vector<TraceEvent>& events,
               return std::tie(sa.epoch, sa.seq, sa.device_pid) <
                      std::tie(sb.epoch, sb.seq, sb.device_pid);
             });
-  if (options.top_slowest >= 0 &&
-      profile.slowest.size() > static_cast<std::size_t>(options.top_slowest)) {
-    profile.slowest.resize(static_cast<std::size_t>(options.top_slowest));
+  if (profile.slowest.size() > kProfileSlowestSlices) {
+    profile.slowest.resize(kProfileSlowestSlices);
   }
 
   // The observation window is the same for every resource: the sum of the
@@ -312,9 +310,8 @@ Profile BuildProfile(const std::vector<TraceEvent>& events,
   return profile;
 }
 
-Profile BuildProfile(const TraceRecorder& recorder,
-                     const ProfileOptions& options) {
-  return BuildProfile(recorder.Snapshot(), options);
+Profile BuildProfile(const TraceRecorder& recorder) {
+  return BuildProfile(recorder.Snapshot());
 }
 
 void ExportResourceMetrics(const Profile& profile, MetricsRegistry* registry,

@@ -109,10 +109,8 @@ struct SpanTotal {
   SimTime total_ns = 0;
 };
 
-struct ProfileOptions {
-  // How many of the slowest slices to keep in Profile::slowest.
-  int top_slowest = 5;
-};
+// How many of the slowest slices Profile::slowest keeps.
+inline constexpr std::size_t kProfileSlowestSlices = 5;
 
 struct Profile {
   std::uint64_t events = 0;  // trace events consumed
@@ -146,10 +144,8 @@ struct Profile {
 // processed in record (`order`) order. Events must come from a single
 // recorder stream (one `order` sequence); to profile several recorders,
 // build one profile each.
-Profile BuildProfile(const std::vector<TraceEvent>& events,
-                     const ProfileOptions& options = {});
-Profile BuildProfile(const TraceRecorder& recorder,
-                     const ProfileOptions& options = {});
+Profile BuildProfile(const std::vector<TraceEvent>& events);
+Profile BuildProfile(const TraceRecorder& recorder);
 
 // Publishes the profile's resource statistics into a metrics registry as
 // gauges, using Prometheus-style label suffixes on the metric names:

@@ -95,7 +95,7 @@ SimTime ReplicatedKvService::ExecuteBatch(int group, int worker,
       if (item.request.kind != RequestKind::kGet) {
         continue;
       }
-      rt.Compute(tid, options_.request_parse_ns);
+      rt.Compute(tid, serve::kRequestParseNs);
       const SimTime start = rt.Now(tid);
       // Device events the read produces inherit the request's id (the
       // shard lock serializes recorder access).

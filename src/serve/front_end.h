@@ -53,6 +53,9 @@
 namespace nearpm {
 namespace serve {
 
+// Front-end CPU cost of parsing one request (ns), in every service.
+inline constexpr double kRequestParseNs = 50.0;
+
 // Options every serving configuration shares; ServeOptions and ReplOptions
 // extend it with their topology and commit-protocol knobs.
 struct FrontEndOptions {
@@ -70,7 +73,6 @@ struct FrontEndOptions {
   std::uint64_t pm_size = 16ull << 20;
   std::uint32_t table_slots = 512;
   std::uint32_t value_size = 64;
-  double request_parse_ns = 50.0;  // front-end CPU cost per request
   // Device geometry shared by every node (and the fabric links, when there
   // is one). Default = seed platform.
   hwmodel::HwConfig hw;

@@ -30,7 +30,7 @@ void KvService::ExecuteLocal(Shard& shard, ThreadId tid, QueuedRequest& item,
                              obs::SlidingWindow& win) {
   Runtime& rt = shard.rt();
   const SimTime start = rt.Now(tid);
-  rt.Compute(tid, options_.request_parse_ns);
+  rt.Compute(tid, kRequestParseNs);
 
   // Every event the shard records while this request executes -- queue,
   // device pipeline, PM writes -- inherits its trace id (the caller holds

@@ -472,7 +472,8 @@ void CheckRecoveryLeg(const PrefixContext& ctx) {
   checker.disable_invariants = ctx.config.weaken_checker;
   // Invariants 1-3 over this trace were already differentially checked on
   // the crash-free probe; the recovery leg adds exactly the invariant-4
-  // obligations (replay window, no double or already-durable replay) plus
+  // obligations (replay window, no double or already-durable replay; the
+  // crash model records no replay events, so these hold trivially) plus
   // the full-history demand, so only those verdicts are charged here.
   for (const PpoViolation& v : checker.Check(trace.Snapshot())) {
     if (v.invariant == 0 || v.invariant == 4) {

@@ -63,15 +63,16 @@ struct ConformanceConfig {
   // Teeth: run against a deliberately broken spec.
   SpecMutation mutation = SpecMutation::kNone;
   // Teeth: PpoChecker::disable_invariants bitmask (bit i-1 = invariant i).
-  // Only bits 1..3 have teeth on a healthy machine: probe runs without a
-  // crash never emit kRecoveryReplay, so a disabled invariant 4 is
+  // Only bits 1..3 have teeth on a healthy machine: no run emits
+  // kRecoveryReplay (hardware recovery is the crash model's sync-frontier
+  // repair, which records none), so a disabled invariant 4 is
   // indistinguishable from a healthy one.
   std::uint32_t weaken_checker = 0;
   // Crash-sweep budget per prefix: candidate instants (excess is counted in
   // stats, never silently dropped) and pending-line survival masks.
   std::size_t max_crash_candidates = 64;
   std::size_t max_masks = 6;
-  // Also run the InjectCrashAt recovery leg (journal replay) and require
+  // Also run the InjectCrashAt recovery leg (hardware recovery) and require
   // the checker to accept it (invariant 4 / full-history invariant 0).
   bool check_recovery = true;
 };

@@ -11,6 +11,9 @@ namespace nearpm {
 
 namespace {
 
+// Gap inserted between epochs on the exported timeline (ns).
+constexpr std::uint64_t kEpochGapNs = 10000;
+
 // Category string, used by trace viewers for filtering.
 const char* PhaseCategory(TracePhase phase) {
   switch (phase) {
@@ -121,8 +124,7 @@ std::string TraceThreadName(std::uint32_t pid, std::uint32_t tid) {
   return "tid " + std::to_string(tid);
 }
 
-void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
-                      const ChromeTraceOptions& options) {
+void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os) {
   // Lay epochs out back to back: epoch k starts after the latest end time of
   // all earlier epochs plus a gap.
   std::map<std::uint32_t, std::uint64_t> epoch_end;
@@ -134,7 +136,7 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
   std::uint64_t cursor = 0;
   for (const auto& [epoch, end] : epoch_end) {
     epoch_offset[epoch] = cursor;
-    cursor += end + options.epoch_gap_ns;
+    cursor += end + kEpochGapNs;
   }
 
   os << "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [";
@@ -214,19 +216,17 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
   os << "\n]}\n";
 }
 
-void WriteChromeTrace(const TraceRecorder& recorder, std::ostream& os,
-                      const ChromeTraceOptions& options) {
-  WriteChromeTrace(recorder.Snapshot(), os, options);
+void WriteChromeTrace(const TraceRecorder& recorder, std::ostream& os) {
+  WriteChromeTrace(recorder.Snapshot(), os);
 }
 
 bool WriteChromeTraceFile(const TraceRecorder& recorder,
-                          const std::string& path,
-                          const ChromeTraceOptions& options) {
+                          const std::string& path) {
   std::ofstream f(path);
   if (!f) {
     return false;
   }
-  WriteChromeTrace(recorder, f, options);
+  WriteChromeTrace(recorder, f);
   return f.good();
 }
 

@@ -5,8 +5,8 @@
 //
 // Virtual clocks restart from zero at a crash (and when several Runtimes
 // share one recorder), so each trace epoch is laid out after the previous
-// one on the exported timeline with a visible gap, keeping Perfetto's view
-// monotonic while preserving in-epoch timing exactly.
+// one on the exported timeline with a visible 10 us gap, keeping Perfetto's
+// view monotonic while preserving in-epoch timing exactly.
 #ifndef SRC_TRACE_CHROME_EXPORTER_H_
 #define SRC_TRACE_CHROME_EXPORTER_H_
 
@@ -19,21 +19,13 @@
 
 namespace nearpm {
 
-struct ChromeTraceOptions {
-  // Gap inserted between epochs on the exported timeline (ns).
-  std::uint64_t epoch_gap_ns = 10000;
-};
-
 // Writes the full JSON object {"traceEvents": [...], ...} for the events.
-void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os,
-                      const ChromeTraceOptions& options = {});
-void WriteChromeTrace(const TraceRecorder& recorder, std::ostream& os,
-                      const ChromeTraceOptions& options = {});
+void WriteChromeTrace(const std::vector<TraceEvent>& events, std::ostream& os);
+void WriteChromeTrace(const TraceRecorder& recorder, std::ostream& os);
 
 // Convenience: export straight to a file. Returns false on I/O failure.
 bool WriteChromeTraceFile(const TraceRecorder& recorder,
-                          const std::string& path,
-                          const ChromeTraceOptions& options = {});
+                          const std::string& path);
 
 // Human-readable names used for the metadata events (exposed for tests).
 std::string TraceProcessName(std::uint32_t pid);

@@ -23,7 +23,10 @@
 //  * Invariant 4 -- recovery replays exactly the in-flight window: every
 //    kRecoveryReplay follows a kCrash, names a request issued before the
 //    crash, never a request whose effects were already durable everywhere,
-//    and never replays the same request twice.
+//    and never replays the same request twice. Nothing in the simulator
+//    records kRecoveryReplay (its hardware recovery is PmSpace's
+//    sync-frontier repair, applied to the crash image), so this rule only
+//    judges traces recorded elsewhere and read back (ReadRawTraceFile).
 //
 // "Issued before" always means the recorder's global order field (real
 // program order), never timestamp comparison -- per-thread virtual clocks

@@ -48,7 +48,8 @@ enum class TracePhase : std::uint8_t {
   // ---- Failure and recovery.
   kCrash,          // instant: power failure (arg0 = frontier sync id)
   kCrashOutcome,   // instant: per-request sampled outcome (arg0 = outcome)
-  kRecoveryReplay, // instant: hardware recovery re-executed a request
+  kRecoveryReplay, // instant: hardware recovery re-executed a request (no
+                   // in-tree producer; read from trace files)
   // ---- Mechanism level (pmlib providers).
   kOpBegin,     // instant: failure-atomic operation opened (seq = tx id)
   kOpCommit,    // instant: operation committed

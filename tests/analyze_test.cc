@@ -379,8 +379,8 @@ INSTANTIATE_TEST_SUITE_P(AllMechanisms, CleanHeapRun,
                                            Mechanism::kRedoLogging,
                                            Mechanism::kCheckpointing,
                                            Mechanism::kShadowPaging),
-                         [](const auto& info) {
-                           return std::string(MechanismName(info.param));
+                         [](const auto& p) {
+                           return std::string(MechanismName(p.param));
                          });
 
 TEST(PmSanitizerClean, CrashRecoveryRoundTrip) {

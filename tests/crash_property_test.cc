@@ -165,10 +165,10 @@ std::vector<CrashCase> AllCrashCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CrashPropertyTest,
                          ::testing::ValuesIn(AllCrashCases()),
-                         [](const auto& info) {
-                           return std::string(MechanismName(info.param.mechanism)) +
-                                  "_" + ExecModeName(info.param.mode) + "_s" +
-                                  std::to_string(info.param.seed);
+                         [](const auto& p) {
+                           return std::string(MechanismName(p.param.mechanism)) +
+                                  "_" + ExecModeName(p.param.mode) + "_s" +
+                                  std::to_string(p.param.seed);
                          });
 
 // ---- Repeated crash-recover-crash cycles --------------------------------------

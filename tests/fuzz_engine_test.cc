@@ -133,7 +133,7 @@ TEST(FuzzTeethTest, PpoAblationIsCaught) {
   EXPECT_LE(minimal.total_ops, failures.front().fuzz_case.total_ops);
 }
 
-// Fault injection: with the hardware recovery's journalled replay disabled
+// Fault injection: with the hardware recovery's frontier replay disabled
 // (skip_recovery_replay), a crash between two deferred cross-device log
 // invalidations rolls back an already-committed operation while a later one
 // stays applied -- a non-prefix state the differential oracle must catch.

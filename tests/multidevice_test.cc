@@ -75,11 +75,11 @@ std::vector<PlatformCase> PlatformCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PlatformSweepTest,
                          ::testing::ValuesIn(PlatformCases()),
-                         [](const auto& info) {
-                           return "d" + std::to_string(info.param.devices) +
-                                  "_s" + std::to_string(info.param.stripe) +
-                                  "_u" + std::to_string(info.param.units) +
-                                  "_r" + std::to_string(info.param.seed);
+                         [](const auto& p) {
+                           return "d" + std::to_string(p.param.devices) +
+                                  "_s" + std::to_string(p.param.stripe) +
+                                  "_u" + std::to_string(p.param.units) +
+                                  "_r" + std::to_string(p.param.seed);
                          });
 
 // ---- Multithreaded crash consistency -------------------------------------------

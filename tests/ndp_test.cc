@@ -6,7 +6,6 @@
 #include "src/ndp/address_map.h"
 #include "src/ndp/device.h"
 #include "src/ndp/inflight_table.h"
-#include "src/ndp/recovery_journal.h"
 #include "src/ndp/request.h"
 #include "src/ndp/sync_machine.h"
 #include "src/pmem/pm_space.h"
@@ -210,42 +209,6 @@ TEST(SyncMachineTest, SingleDeviceCompletesOnLocal) {
   ASSERT_TRUE(sm.ReceiveLocalComplete().ok());
   EXPECT_TRUE(sm.AllComplete());
   EXPECT_EQ(sm.commands_tracked(), 1u);
-}
-
-// ---- RecoveryJournal --------------------------------------------------------
-
-TEST(RecoveryJournalTest, ReplaySetRespectsFrontier) {
-  RecoveryJournal journal;
-  NearPmRequest r1{1, NearPmOp::kUndologCreate, 1, 0, 0, 64, 4096, 10};
-  NearPmRequest r2{2, NearPmOp::kCommitLog, 1, 0, 4096, 64, 0, 0};
-  journal.Add(r1, 0, 5000);  // before sync 1, still executing
-  journal.Add(r2, 1, 9000);  // after sync 1
-  const auto replay = journal.ReplaySet(1);
-  ASSERT_EQ(replay.size(), 1u);
-  EXPECT_EQ(replay[0].request.seq, 1u);
-  EXPECT_TRUE(journal.ReplaySet(0).empty());
-}
-
-TEST(RecoveryJournalTest, RemoveBySeqAndSync) {
-  RecoveryJournal journal;
-  journal.Add(NearPmRequest{1}, 0, 100);
-  journal.Add(NearPmRequest{2}, 0, 200);
-  journal.Add(NearPmRequest{3}, 2, 300);
-  journal.Remove(2);
-  EXPECT_EQ(journal.size(), 2u);
-  journal.RemoveThroughSync(2);  // removes entries with after_sync < 2
-  EXPECT_EQ(journal.size(), 1u);
-  EXPECT_EQ(journal.entries().front().request.seq, 3u);
-}
-
-TEST(RecoveryJournalTest, RemoveCompletedBefore) {
-  RecoveryJournal journal;
-  journal.Add(NearPmRequest{1}, 0, 100);
-  journal.Add(NearPmRequest{2}, 0, 200);
-  journal.Add(NearPmRequest{3}, 0, 300);
-  journal.RemoveCompletedBefore(200);  // 1 and 2 left the FIFO
-  EXPECT_EQ(journal.size(), 1u);
-  EXPECT_EQ(journal.entries().front().request.seq, 3u);
 }
 
 // ---- NearPmDevice -----------------------------------------------------------

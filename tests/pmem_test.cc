@@ -197,11 +197,13 @@ TEST(PmSpaceTest, LargeSpaceIsBackedLazily) {
   EXPECT_EQ(out, zeros);
 
   // The crash-state line tables must be as lazy as the media: guard and
-  // NDP-write both ends of the space (undeclared requests, durable).
+  // NDP-write both ends of the space (zero windows, durable).
   const DeviceId last_dev = space.interleave().DeviceOf(last);
   space.GuardRange(0, 1, {0, kCacheLineSize});
   space.GuardRange(last_dev, 2, {last, o.size});
+  space.BeginNdpRequest(0, 1, 0, 0);
   space.NdpWrite(0, 1, 0, Pattern(kCacheLineSize, 5));
+  space.BeginNdpRequest(last_dev, 2, 0, 0);
   space.NdpWrite(last_dev, 2, last, Pattern(kCacheLineSize, 7));
 
   space.CpuWrite(last, Pattern(kCacheLineSize, 3));

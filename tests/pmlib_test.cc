@@ -193,9 +193,9 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(ExecMode::kCpuBaseline,
                                          ExecMode::kNdpSingleDevice,
                                          ExecMode::kNdpMultiDelayed)),
-    [](const auto& info) {
-      return std::string(MechanismName(std::get<0>(info.param))) + "_" +
-             ExecModeName(std::get<1>(info.param));
+    [](const auto& p) {
+      return std::string(MechanismName(std::get<0>(p.param))) + "_" +
+             ExecModeName(std::get<1>(p.param));
     });
 
 // ---- Targeted recovery behaviour ----------------------------------------------

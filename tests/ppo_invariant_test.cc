@@ -1,5 +1,5 @@
 // Direct tests of the four PPO invariants (Section 4) at the runtime level,
-// plus hardware-recovery (journal replay) semantics.
+// plus hardware-recovery semantics (the crash model's sync-frontier repair).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -153,15 +153,15 @@ TEST(HardwareRecoveryTest, ReplayNeverCorruptsDurableLogs) {
   Rng rng(5);
   f.rt->InjectCrash(rng);
   // The log payload must still be the PRE-update data even though the
-  // journal may have contained the request at the crash.
+  // request may still have been in the request FIFO at the crash.
   std::vector<std::uint8_t> payload(256);
   f.rt->Read(0, CcArea::SlotData(f.slot(0)), payload);
   EXPECT_EQ(payload, Pattern(256, 1));
 }
 
-// The recovery journal is bounded: completed requests leave it (the request
-// FIFO is 32 entries; an unbounded journal would be an unbuildable device).
-TEST(HardwareRecoveryTest, JournalStaysBounded) {
+// Completed requests leave the request FIFO (32 entries): a crash long after
+// they finished finds (almost) nothing in flight to drop or truncate.
+TEST(HardwareRecoveryTest, CompletedRequestsLeaveNothingInFlight) {
   Fixture f(ExecMode::kNdpSingleDevice);
   f.rt->Write(0, 0, Pattern(4096, 1));
   f.rt->Persist(0, 0, 4096);

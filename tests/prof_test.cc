@@ -99,10 +99,8 @@ TEST(ProfileTest, SlowestSlicesAreSortedBySpan) {
   TraceRecorder recorder;
   const auto events =
       TraceWorkload("btree", ExecMode::kNdpMultiDelayed, &recorder);
-  ProfileOptions options;
-  options.top_slowest = 10;
-  const Profile profile = BuildProfile(events, options);
-  ASSERT_LE(profile.slowest.size(), 10u);
+  const Profile profile = BuildProfile(events);
+  ASSERT_LE(profile.slowest.size(), kProfileSlowestSlices);
   ASSERT_GT(profile.slowest.size(), 0u);
   for (std::size_t i = 1; i < profile.slowest.size(); ++i) {
     EXPECT_GE(profile.slices[profile.slowest[i - 1]].span_ns(),

@@ -1,9 +1,9 @@
-// Recovery edge cases, asserted through the trace-driven PpoChecker:
-// crashes with an empty journal, a second failure before software recovery
-// runs (the closest modelable analogue of a crash during replay -- hardware
-// replay itself is atomic in the simulator), and multi-device crashes with
-// commits in flight past the latest synchronization point. Plus direct unit
-// tests of the RecoveryJournal frontier semantics (Section 5.3.3).
+// Recovery edge cases, asserted through the trace: a crash with nothing in
+// flight, a second failure before software recovery runs, and
+// multi-device crashes with commits in flight past the latest
+// synchronization point. Hardware recovery (Section 5.3.3) is the crash
+// model's sync-frontier repair, so the trace shows it as crash outcomes:
+// everything executed before the frontier's sync marker is durable.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +12,6 @@
 
 #include "src/common/rng.h"
 #include "src/core/runtime.h"
-#include "src/ndp/recovery_journal.h"
 #include "src/pmlib/heap.h"
 #include "src/trace/ppo_checker.h"
 #include "src/trace/recorder.h"
@@ -20,58 +19,9 @@
 namespace nearpm {
 namespace {
 
-NearPmRequest Request(std::uint64_t seq) {
-  NearPmRequest r;
-  r.seq = seq;
-  r.op = NearPmOp::kUndologCreate;
-  return r;
-}
+// ---- Crash with nothing in flight -------------------------------------------
 
-// ---- RecoveryJournal frontier semantics -------------------------------------
-
-TEST(RecoveryJournalTest, FrontierZeroReplaysNothing) {
-  RecoveryJournal journal;
-  journal.Add(Request(1), /*after_sync=*/0, /*completion=*/100);
-  journal.Add(Request(2), /*after_sync=*/0, /*completion=*/200);
-  // No synchronization was ever reached: hardware recovery replays nothing;
-  // the logs stay intact for software recovery.
-  EXPECT_TRUE(journal.ReplaySet(0).empty());
-}
-
-TEST(RecoveryJournalTest, ReplaySetStopsAtTheFrontier) {
-  RecoveryJournal journal;
-  journal.Add(Request(1), /*after_sync=*/0, /*completion=*/100);
-  journal.Add(Request(2), /*after_sync=*/1, /*completion=*/200);
-  journal.Add(Request(3), /*after_sync=*/2, /*completion=*/300);
-
-  // Requests issued after the last fully-reached synchronization (id 2) are
-  // beyond the replay window.
-  const auto replay = journal.ReplaySet(/*frontier=*/2);
-  ASSERT_EQ(replay.size(), 2u);
-  EXPECT_EQ(replay[0].request.seq, 1u);
-  EXPECT_EQ(replay[1].request.seq, 2u);
-}
-
-TEST(RecoveryJournalTest, ObservedCompletionsLeaveTheJournal) {
-  RecoveryJournal journal;
-  journal.Add(Request(1), 0, 100);
-  journal.Add(Request(2), 1, 200);
-  journal.Add(Request(3), 2, 300);
-
-  journal.Remove(2);  // completion polled by the CPU
-  EXPECT_EQ(journal.size(), 2u);
-
-  journal.RemoveCompletedBefore(100);  // left the request FIFO
-  EXPECT_EQ(journal.size(), 1u);
-  EXPECT_EQ(journal.entries().front().request.seq, 3u);
-
-  journal.RemoveThroughSync(3);  // synchronization covered everything
-  EXPECT_TRUE(journal.entries().empty());
-}
-
-// ---- Crash with an empty journal --------------------------------------------
-
-TEST(RecoveryTraceTest, EmptyJournalCrashReplaysNothing) {
+TEST(RecoveryTraceTest, CrashWithNothingInFlightReplaysNothing) {
   RuntimeOptions options;
   options.mode = ExecMode::kNdpMultiDelayed;
   options.pm_size = 16ull << 20;
@@ -98,30 +48,39 @@ TEST(RecoveryTraceTest, EmptyJournalCrashReplaysNothing) {
 
 // ---- Multi-device crash with commits in flight ------------------------------
 
-TEST(RecoveryTraceTest, MultiDeviceReplayStaysInsideTheInFlightWindow) {
+struct FrontierWindow {
+  std::uint64_t frontier = 0;   // the kCrash event's frontier sync id
+  std::size_t requests = 0;     // requests executed before its marker
+  std::size_t not_durable = 0;  // their non-durable crash outcomes
+  std::vector<PpoViolation> violations;
+};
+
+// Several committed operations (each commit issues a cross-device sync and
+// deferred log deletions), then uncommitted creates still in flight past
+// the latest synchronization point when the power fails. No DrainDevices:
+// it records no sync marker, so it would hide the window.
+FrontierWindow CrashWithCommitsInFlight(bool skip_recovery_replay) {
   RuntimeOptions options;
   options.mode = ExecMode::kNdpMultiDelayed;
   options.pm_size = 16ull << 20;
+  options.skip_recovery_replay = skip_recovery_replay;
   Runtime rt(options);
   TraceRecorder recorder;
   rt.AttachTrace(&recorder);
   auto pool = rt.RegisterPool(0, 2 << 20);
-  ASSERT_TRUE(pool.ok());
+  EXPECT_TRUE(pool.ok());
 
-  // Several committed operations (each commit issues a cross-device sync
-  // and deferred log deletions), then uncommitted creates still in flight
-  // past the latest synchronization point when the power fails.
   const PmAddr slot_base = 1 << 20;
   for (std::uint64_t i = 0; i < 4; ++i) {
     const PmAddr slot = slot_base + i * 8192;
-    ASSERT_TRUE(rt.UndologCreate(*pool, 0, /*tx_id=*/i + 1,
+    EXPECT_TRUE(rt.UndologCreate(*pool, 0, /*tx_id=*/i + 1,
                                  /*old_data=*/i * 4096, 4096, slot)
                     .ok());
     const PmAddr slots[] = {slot};
-    ASSERT_TRUE(rt.CommitLog(*pool, 0, slots).ok());
+    EXPECT_TRUE(rt.CommitLog(*pool, 0, slots).ok());
   }
   for (std::uint64_t i = 4; i < 6; ++i) {
-    ASSERT_TRUE(rt.UndologCreate(*pool, 0, /*tx_id=*/i + 1,
+    EXPECT_TRUE(rt.UndologCreate(*pool, 0, /*tx_id=*/i + 1,
                                  /*old_data=*/i * 4096, 4096,
                                  slot_base + i * 8192)
                     .ok());
@@ -129,31 +88,55 @@ TEST(RecoveryTraceTest, MultiDeviceReplayStaysInsideTheInFlightWindow) {
   Rng rng(11);
   rt.InjectCrash(rng);
 
-  // Every replayed request must have been issued before the crash -- the
-  // checker's Invariant 4 asserts that, plus never-durable and no-duplicate.
-  const auto violations = PpoChecker{}.Check(recorder);
-  EXPECT_TRUE(violations.empty()) << PpoChecker::Report(violations);
-
-  std::set<std::uint64_t> issued;
-  std::set<std::uint64_t> replayed;
-  const TraceEvent* crash = nullptr;
-  for (const TraceEvent& e : recorder.Snapshot()) {
-    if (e.phase == TracePhase::kUnitExec ||
-        e.phase == TracePhase::kDeferredExec) {
-      issued.insert(e.seq);
-    } else if (e.phase == TracePhase::kRecoveryReplay) {
-      replayed.insert(e.seq);
-    } else if (e.phase == TracePhase::kCrash) {
-      crash = &e;
+  FrontierWindow window;
+  window.violations = PpoChecker{}.Check(recorder);
+  const std::vector<TraceEvent> events = recorder.Snapshot();
+  for (const TraceEvent& e : events) {
+    if (e.phase == TracePhase::kCrash) {
+      window.frontier = e.arg0;
     }
   }
-  ASSERT_NE(crash, nullptr);
-  for (std::uint64_t seq : replayed) {
-    EXPECT_TRUE(issued.count(seq)) << "replayed unknown seq " << seq;
+  std::uint64_t marker_order = 0;
+  for (const TraceEvent& e : events) {
+    if (e.phase == TracePhase::kSyncMarker && e.epoch == 0 &&
+        e.seq == window.frontier) {
+      marker_order = e.order;
+    }
   }
-  // Requests issued after the frontier synchronization are left to software
-  // recovery; the replay set can never cover more than what was in flight.
-  EXPECT_LE(replayed.size(), issued.size());
+  std::set<std::uint64_t> before_marker;
+  for (const TraceEvent& e : events) {
+    if ((e.phase == TracePhase::kUnitExec ||
+         e.phase == TracePhase::kDeferredExec) &&
+        e.order < marker_order) {
+      before_marker.insert(e.seq);
+    }
+  }
+  window.requests = before_marker.size();
+  for (const TraceEvent& e : events) {
+    if (e.phase == TracePhase::kCrashOutcome && before_marker.count(e.seq) &&
+        e.arg0 != static_cast<std::uint64_t>(CrashOutcome::kDurable)) {
+      ++window.not_durable;
+    }
+  }
+  return window;
+}
+
+// Hardware recovery replays the request FIFO up to the frontier: every
+// request whose execution was recorded before the frontier's sync marker is
+// durable on every device. Requests past it are software recovery's.
+TEST(RecoveryTraceTest, MultiDeviceReplayStaysInsideTheInFlightWindow) {
+  const FrontierWindow window = CrashWithCommitsInFlight(false);
+  EXPECT_TRUE(window.violations.empty())
+      << PpoChecker::Report(window.violations);
+  ASSERT_NE(window.frontier, 0u);
+  ASSERT_GT(window.requests, 0u) << "no request before the frontier marker";
+  EXPECT_EQ(window.not_durable, 0u);
+
+  // Teeth: without the replay the same run leaves some of them lost.
+  const FrontierWindow skipped = CrashWithCommitsInFlight(true);
+  EXPECT_EQ(skipped.frontier, window.frontier);
+  EXPECT_EQ(skipped.requests, window.requests);
+  EXPECT_GT(skipped.not_durable, 0u);
 }
 
 // ---- Heap-level crash/recover cycles ----------------------------------------
@@ -195,9 +178,9 @@ TEST(RecoveryHeapTest, SecondCrashBeforeSoftwareRecoveryIsStillConsistent) {
 
   Rng rng(42);
   rt.InjectCrash(rng);
-  // Power fails again before any software recovery ran. The journal was
-  // already drained by the first crash's hardware replay; the second pass
-  // must find nothing to replay and leave the logs intact.
+  // Power fails again before any software recovery ran. The first crash
+  // left nothing in flight; the second must find nothing to repair and
+  // leave the logs intact.
   rt.InjectCrash(rng);
   EXPECT_EQ(recorder.epoch(), 2u);
 

@@ -96,8 +96,8 @@ TEST_P(ReplSweepTest, SystematicCrashSubsetSweepIsClean) {
 INSTANTIATE_TEST_SUITE_P(Protocols, ReplSweepTest,
                          ::testing::Values(ReplProtocol::kPrimaryBackup,
                                            ReplProtocol::kOneSidedRedo),
-                         [](const auto& info) {
-                           return std::string(ReplProtocolName(info.param));
+                         [](const auto& p) {
+                           return std::string(ReplProtocolName(p.param));
                          });
 
 // ---- Teeth: the fuzzer must catch the seeded ablations ----------------------

@@ -222,8 +222,8 @@ TEST_P(ReplProtocolTest, RecoverAllAfterFullClusterCrash) {
 INSTANTIATE_TEST_SUITE_P(Protocols, ReplProtocolTest,
                          ::testing::Values(ReplProtocol::kPrimaryBackup,
                                            ReplProtocol::kOneSidedRedo),
-                         [](const auto& info) {
-                           return std::string(ReplProtocolName(info.param));
+                         [](const auto& p) {
+                           return std::string(ReplProtocolName(p.param));
                          });
 
 // ---- Failover ---------------------------------------------------------------

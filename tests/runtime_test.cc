@@ -170,8 +170,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, PrimitiveModeTest,
                                            ExecMode::kNdpSingleDevice,
                                            ExecMode::kNdpMultiSwSync,
                                            ExecMode::kNdpMultiDelayed),
-                         [](const auto& info) {
-                           return ExecModeName(info.param);
+                         [](const auto& p) {
+                           return ExecModeName(p.param);
                          });
 
 // ---- PPO ordering (Invariant 1/2) -------------------------------------------

@@ -133,9 +133,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          Mechanism::kRedoLogging,
                                          Mechanism::kCheckpointing,
                                          Mechanism::kShadowPaging)),
-    [](const auto& info) {
-      return std::get<0>(info.param) + "_" +
-             MechanismName(std::get<1>(info.param));
+    [](const auto& p) {
+      return std::get<0>(p.param) + "_" +
+             MechanismName(std::get<1>(p.param));
     });
 
 // ---- The shared driver ------------------------------------------------------
@@ -280,11 +280,11 @@ std::vector<WorkloadCrashCase> WorkloadCrashCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, WorkloadCrashTest,
                          ::testing::ValuesIn(WorkloadCrashCases()),
-                         [](const auto& info) {
-                           return info.param.name + "_" +
-                                  std::string(MechanismName(info.param.mechanism)) +
-                                  "_" + ExecModeName(info.param.mode) + "_s" +
-                                  std::to_string(info.param.seed);
+                         [](const auto& p) {
+                           return p.param.name + "_" +
+                                  std::string(MechanismName(p.param.mechanism)) +
+                                  "_" + ExecModeName(p.param.mode) + "_s" +
+                                  std::to_string(p.param.seed);
                          });
 
 }  // namespace
